@@ -17,7 +17,7 @@ from .catalog import FamilySpec, construct_group, construct_simplex, expected_cl
 from .classifier import search, verify_bounds
 from .counting import count_M, ordered_bell
 from .delta import delta_of, ehrhart_check, gorenstein_index, is_gorenstein, target
-from .errors import DegenerateSimplex, DimensionTooSmall, NonIntegralHeight
+from .errors import CriterionFailed, DegenerateSimplex, DimensionTooSmall, NonIntegralHeight
 from .residues import (
     canonical_form,
     direct_sum,
@@ -50,6 +50,12 @@ def _classes(v, k):
     return _searches[(v, k)]
 
 
+def _require(ok, detail):
+    """Fail the criterion with detail unless ok; unlike assert, -O keeps it."""
+    if not ok:
+        raise CriterionFailed(detail)
+
+
 def _canon_set(groups):
     return {canonical_form(g) for g in groups}
 
@@ -62,27 +68,30 @@ def _crit_p2_classification(fast):
     p = 2
     for k in (0, 1):
         got = _classes(4, k)
-        assert len(got) == 3, f"v=4 k={k}: {len(got)} classes"
+        _require(len(got) == 3, f"v=4 k={k}: {len(got)} classes")
         dims = sorted(g.ambient - 1 for g in got)
         want = sorted([p * p * (k + 1) - 1,
                        (p * p + p - 1) * (k + 1) - 1,
                        p * (p + 1) * (k + 1) - 1])
-        assert dims == want, f"v=4 k={k}: dims {dims} != {want}"
-        assert _canon_set(got) == _expected_canon(4, k)
+        _require(dims == want, f"v=4 k={k}: dims {dims} != {want}")
+        _require(_canon_set(got) == _expected_canon(4, k),
+                 f"v=4 k={k}: classes differ from the catalog")
     return "v=4, k in {0,1}: 3 classes each, canonical match"
 
 
 def _crit_pq_classification(fast):
     got = _classes(6, 0)
-    assert len(got) == 5, f"v=6: {len(got)} classes"
+    _require(len(got) == 5, f"v=6: {len(got)} classes")
     dims = sorted(g.ambient - 1 for g in got)
-    assert dims == [5, 6, 7, 7, 8], f"v=6 dims {dims}"
-    assert _canon_set(got) == _expected_canon(6, 0)
+    _require(dims == [5, 6, 7, 7, 8], f"v=6 dims {dims}")
+    _require(_canon_set(got) == _expected_canon(6, 0),
+             "v=6: classes differ from the catalog")
     if fast:
         return "v=6: 5 classes, canonical match; v=9 skipped (fast suite)"
     got = _classes(9, 0)
-    assert len(got) == 3, f"v=9: {len(got)} classes"
-    assert _canon_set(got) == _expected_canon(9, 0)
+    _require(len(got) == 3, f"v=9: {len(got)} classes")
+    _require(_canon_set(got) == _expected_canon(9, 0),
+             "v=9: classes differ from the catalog")
     return "v=6: 5 classes; v=9: 3 classes; canonical match"
 
 
@@ -105,7 +114,8 @@ def _crit_vertex_round_trip(fast):
     for sp in specs:
         s = construct_simplex(sp)
         g = construct_group(sp)
-        assert canonical_form(group_of_simplex(s)) == canonical_form(g), str(sp)
+        _require(canonical_form(group_of_simplex(s)) == canonical_form(g),
+                 str(sp))
     return f"{len(specs)} vertex forms rebuild their residue groups"
 
 
@@ -132,7 +142,7 @@ def _catalog_simplices(max_vol, max_dim):
 def _crit_ehrhart_oracle(fast):
     sims = _catalog_simplices(8, 6)
     for s in sims:
-        assert ehrhart_check(s)
+        _require(ehrhart_check(s), f"catalog simplex {s.vertices}")
     rng = random.Random(93)
     done = 0
     while done < 50:
@@ -144,7 +154,7 @@ def _crit_ehrhart_oracle(fast):
             continue
         if s.volume() > 6:
             continue
-        assert ehrhart_check(s), f"random simplex {pts}"
+        _require(ehrhart_check(s), f"random simplex {pts}")
         done += 1
     return f"{len(sims)} catalog + 50 random simplices pass the series check"
 
@@ -203,7 +213,8 @@ def _crit_chain_biconditional(fast):
         v = chain[-1]
         for k in (0, 1):
             lengths, values = _chain_layout(chain, k)
-            assert _chain_group_valid(lengths, values, v, k), f"{chain} k={k}"
+            _require(_chain_group_valid(lengths, values, v, k),
+                     f"{chain} k={k}")
             tested += 1
             for i in range(len(lengths)):
                 for step in (k + 1, -(k + 1)):
@@ -211,8 +222,8 @@ def _crit_chain_biconditional(fast):
                         continue
                     bent = list(lengths)
                     bent[i] += step
-                    assert not _chain_group_valid(bent, values, v, k), \
-                        f"{chain} k={k} block {i} step {step}"
+                    _require(not _chain_group_valid(bent, values, v, k),
+                             f"{chain} k={k} block {i} step {step}")
                     perturbed += 1
     return f"{tested} chain layouts valid, {perturbed} perturbations all fail"
 
@@ -220,15 +231,16 @@ def _crit_chain_biconditional(fast):
 def _crit_counting(fast):
     for p in (2, 3):
         for ell in range(1, 11):
-            assert count_M(p**ell) == 2 ** (ell - 1)
+            _require(count_M(p**ell) == 2 ** (ell - 1), f"M({p}^{ell})")
     v = 1
     for t, want in ((1, 1), (2, 3), (3, 13), (4, 75)):
         v *= (2, 3, 5, 7)[t - 1]
-        assert count_M(v) == want == ordered_bell(t)
+        _require(count_M(v) == want == ordered_bell(t), f"M({v})")
     for v in range(2, 1001):
-        assert count_M(v) == sum(count_M(n) for n in divisors(v) if n != v)
+        _require(count_M(v) == sum(count_M(n) for n in divisors(v) if n != v),
+                 f"recursion fails at M({v})")
     for a, b in ((12, 18), (8, 27), (36, 100)):
-        assert count_M(a) == count_M(b), f"count differs on {a}, {b}"
+        _require(count_M(a) == count_M(b), f"count differs on {a}, {b}")
     return "closed forms, recursion to 1000, exponent invariance"
 
 
@@ -241,30 +253,38 @@ def _crit_delta_properties(fast):
     for v, k in cases:
         for g in _classes(v, k):
             p = delta_of(g)
-            assert p.coeffs[0] == 1
-            assert sum(p.coeffs) == p.volume == g.order == v
+            where = f"v={v} k={k} dim {g.ambient - 1}"
+            _require(p.coeffs[0] == 1, f"{where}: constant term")
+            _require(sum(p.coeffs) == p.volume == g.order == v,
+                     f"{where}: volume")
             perm = list(range(g.ambient))
             rng.shuffle(perm)
             for new in (perm, list(reversed(range(g.ambient)))):
                 shuffled = from_generators(
                     [tuple(gen[i] for i in new) for gen in g.generators])
-                assert delta_of(shuffled).coeffs == p.coeffs
+                _require(delta_of(shuffled).coeffs == p.coeffs,
+                         f"{where}: permuted coordinates")
             pyr = direct_sum(g, trivial(1))
-            assert delta_of(pyr).coeffs == p.coeffs + (0,)
-            assert is_gorenstein(delta_of(pyr)) == is_gorenstein(p)
+            _require(delta_of(pyr).coeffs == p.coeffs + (0,),
+                     f"{where}: pyramid delta")
+            _require(is_gorenstein(delta_of(pyr)) == is_gorenstein(p),
+                     f"{where}: pyramid Gorenstein flag")
             core = p.coeffs[: (v - 1) * (k + 1) + 1]
-            assert all(x == 0 for x in p.coeffs[len(core):])
-            assert core == core[::-1]
-            assert is_gorenstein(p)
-            assert gorenstein_index(p) == g.ambient - (v - 1) * (k + 1)
+            _require(all(x == 0 for x in p.coeffs[len(core):]),
+                     f"{where}: degree")
+            _require(core == core[::-1], f"{where}: palindrome")
+            _require(is_gorenstein(p), f"{where}: Gorenstein")
+            _require(gorenstein_index(p) == g.ambient - (v - 1) * (k + 1),
+                     f"{where}: Gorenstein index")
             for e in g.elements:
                 ht = height(e)
-                assert ht == int(ht) >= 0
+                _require(ht == int(ht) >= 0, f"{where}: height {ht}")
             hts = sorted(int(height(e)) for e in g.elements if any(e))
-            assert hts == [(k + 1) * j for j in range(1, v)]
+            _require(hts == [(k + 1) * j for j in range(1, v)],
+                     f"{where}: heights {hts}")
             checked += 1
     bad = from_generators([(Fraction(1, 5),) * 3 + (Fraction(2, 5),)])
-    assert not is_gorenstein(delta_of(bad))
+    _require(not is_gorenstein(delta_of(bad)), "non-Gorenstein control")
     return f"{checked} classes satisfy the full property list"
 
 
@@ -281,8 +301,9 @@ CRITERIA = (
 
 
 def run_criterion(num: int, fast: bool = False) -> CheckResult:
-    num_, name, fn, limit = CRITERIA[num - 1]
-    assert num_ == num
+    if not 1 <= num <= len(CRITERIA):
+        raise ValueError(f"no criterion {num}")
+    _, name, fn, limit = CRITERIA[num - 1]
     start = time.perf_counter()
     try:
         detail = fn(fast)

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import itemgetter
 
 from .arith import factorize, partitions
 from .delta import delta_of, target
-from .errors import BoundViolation, BudgetExceeded, InvalidParams
+from .errors import BoundViolation, BudgetExceeded, InvalidParams, SearchInvariantError
 from .residues import ResidueGroup, canonical_form, from_generators
 
 __all__ = [
@@ -36,8 +37,9 @@ __all__ = [
     "verify_bounds",
 ]
 
-# combined assignment-tree and polytope-walk nodes; sized so v <= 10 at
-# k <= 1 finishes with headroom and a hopeless run still stops quickly
+# assignment-tree nodes, polytope-walk nodes, and one node per automorphism
+# for each solution's Aut-min profile; sized so v <= 10 at k <= 1 finishes
+# with headroom and a hopeless run still stops quickly
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
@@ -536,20 +538,30 @@ def search(v: int, k: int, budget: int | None = DEFAULT_NODE_BUDGET) -> list:
             solver = _make_solver(group, elems)
             ctx = solver.prepare(k)
             add = _addition_table(group, elems)
-            perms = None
+            getters = None
             seen_profiles = set()
             for s in _bijection_dfs(add, len(elems), counter, cap):
                 for counts in solver.solutions(s, k, ctx, counter, cap):
-                    if perms is None:
-                        perms = _aut_character_perms(group, elems)
-                    key = min(tuple(counts[p[i]] for i in range(len(elems)))
-                              for p in perms)
+                    if getters is None:
+                        getters = [itemgetter(*p)
+                                   for p in _aut_character_perms(group, elems)]
+                    # the Aut-min profile costs one node per automorphism
+                    counter[0] += len(getters)
+                    if counter[0] > cap:
+                        raise _budget_error(counter, cap)
+                    key = min([get(counts) for get in getters])
                     if key in seen_profiles:
                         continue
                     seen_profiles.add(key)
                     g = _group_from_profile(group, elems, counts)
-                    assert g.order == v
-                    assert delta_of(g) == target(v, k, g.ambient - 1)
+                    if g.order != v:
+                        raise SearchInvariantError(
+                            f"profile {counts} of {group.invariant_factors} "
+                            f"closes to order {g.order}, not {v}")
+                    if delta_of(g) != target(v, k, g.ambient - 1):
+                        raise SearchInvariantError(
+                            f"profile {counts} of {group.invariant_factors} "
+                            f"misses the target delta")
                     found[canonical_form(g)] = g
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), partial=finish(), used=counter[0]) from None

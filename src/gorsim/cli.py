@@ -130,8 +130,7 @@ def _cmd_classify(args) -> int:
     rows = []
     matched = 0
     for g in classes:
-        key = canonical_form(g)
-        label = expected.get(key) if expected is not None else None
+        label = expected.get(canonical_form(g)) if expected is not None else None
         matched += label is not None
         rows.append({
             "dim": g.ambient - 1,

@@ -55,3 +55,11 @@ class UnsupportedVolume(GorsimError):
 
 class BoundViolation(GorsimError):
     """A classified group falls outside the proven dimension bounds."""
+
+
+class SearchInvariantError(GorsimError):
+    """A class found by the search fails the order or delta it must have."""
+
+
+class CriterionFailed(GorsimError):
+    """An acceptance criterion found a result that contradicts its claim."""

@@ -160,10 +160,18 @@ def canonical_form(g):
     all partial assignments achieving the minimum are kept, so the result is
     the true minimum over all coordinate orders: the full sorted element
     table under the best order, a complete invariant.
+
+    The search runs on the elements scaled by N, the lcm of their
+    denominators.  Scaling keeps the order, so the minimum and its text are
+    those of the Fraction table, at integer comparison cost.
     """
     elems = g.elements
     m, n = len(elems), g.ambient
-    base = Counter(tuple(e[i] for e in elems) for i in range(n))
+    scale = lcm(*{x.denominator for e in elems for x in e})
+    scaled = [tuple(x.numerator * (scale // x.denominator) for x in e)
+              for e in elems]
+    text = {a: str(Fraction(a, scale)) for a in set().union(*scaled)}
+    base = Counter(tuple(e[i] for e in scaled) for i in range(n))
     states = [(((),) * m, base)]
     table = None
     for _ in range(n):
@@ -184,7 +192,7 @@ def canonical_form(g):
                     best[new_rows] = rem2
         states = list(best.items())
         table = best_key
-    return "|".join(",".join(str(x) for x in row) for row in table)
+    return "|".join(",".join(text[x] for x in row) for row in table)
 
 
 def group_to_json(g):

@@ -82,6 +82,16 @@ def test_search_volume_2():
     assert g == from_generators([(F(1, 2),) * 4])
 
 
+def test_search_smallest_volumes():
+    # at v = 2 the single nonzero character makes each profile key a scalar
+    for v in (2, 3):
+        for k in (0, 1):
+            [g] = search(v, k)
+            assert g == from_generators([(F(1, v),) * (v * (k + 1))])
+            assert canonical_form(g) == "|".join(
+                ",".join([str(F(j, v))] * (v * (k + 1))) for j in range(v))
+
+
 def test_search_prime_volumes():
     for v in (3, 5, 7):
         got = search(v, 0)
@@ -128,6 +138,16 @@ def test_search_budget():
     with pytest.raises(BudgetExceeded) as e:
         search(6, 0, budget=5)
     assert isinstance(e.value.partial, list)
+
+
+def test_search_budget_counts_automorphism_dedupe():
+    # (2,2,2) has 168 automorphisms; the tree and the solver use ~3,000
+    # nodes at v = 8 and the Aut-min profiles ~28,700, so only the dedupe
+    # charge can exhaust this budget
+    with pytest.raises(BudgetExceeded) as e:
+        search(8, 0, budget=10_000)
+    assert isinstance(e.value.partial, list)
+    assert e.value.used > 10_000
 
 
 def test_verify_bounds_rejects_bad_sets():

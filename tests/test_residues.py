@@ -2,14 +2,20 @@
 
 The canonical-form oracle minimizes the row-sorted element table over every
 coordinate permutation outright; it is exponential but fine at ambient <= 6.
+A second reference, `fraction_canonical_form`, runs the prefix-table search
+directly on the Fraction elements; the library's integer-scaled search must
+return the same string.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gorsim.arith import divisors
+from gorsim.catalog import chain_generator
 from gorsim.errors import NonIntegralHeight
 from gorsim.residues import (
     ResidueGroup,
@@ -41,6 +47,42 @@ def brute_table(g):
         if best is None or table < best:
             best = table
     return best
+
+
+def fraction_canonical_form(g):
+    """Prefix-table minimization over the Fraction elements themselves."""
+    elems = g.elements
+    m, n = len(elems), g.ambient
+    base = Counter(tuple(e[i] for e in elems) for i in range(n))
+    states = [(((),) * m, base)]
+    table = None
+    for _ in range(n):
+        best_key = None
+        best = {}
+        for rows, rem in states:
+            for col in list(rem):
+                new_rows = tuple(rows[e] + (col[e],) for e in range(m))
+                cand = tuple(sorted(new_rows))
+                if best_key is None or cand < best_key:
+                    best_key = cand
+                    best = {}
+                if cand == best_key and new_rows not in best:
+                    rem2 = rem.copy()
+                    rem2[col] -= 1
+                    if not rem2[col]:
+                        del rem2[col]
+                    best[new_rows] = rem2
+        states = list(best.items())
+        table = best_key
+    return "|".join(",".join(str(x) for x in row) for row in table)
+
+
+def chains_to(v):
+    out = [(v,)]
+    for n in divisors(v):
+        if 1 < n < v:
+            out.extend(ch + (v,) for ch in chains_to(n))
+    return out
 
 
 def random_small_group(rng):
@@ -169,6 +211,30 @@ def test_canonical_form_distinguishes_block_splits():
     assert a.order == b.order == 4
     assert canonical_form(a) != canonical_form(b)
     assert brute_table(a) != brute_table(b)
+
+
+def test_canonical_form_matches_fraction_reference():
+    rng = random.Random(505)
+    groups = [random_small_group(rng) for _ in range(30)]
+    # denominators 2 and 3 together: the scale is 6, not either one
+    groups.append(from_generators([vec("1/2", "1/2", "1/3", "1/3", "1/3")]))
+    groups.append(from_generators([vec("1/2", "1/2", 0, 0, 0),
+                                   vec(0, 0, "1/3", "1/3", "1/3")]))
+    groups.append(trivial(3))
+    for v in range(2, 13):
+        for k in (0, 1):
+            groups.extend(from_generators([chain_generator(ch, k)])
+                          for ch in chains_to(v))
+    for g in groups:
+        assert canonical_form(g) == fraction_canonical_form(g), g.generators
+
+
+def test_canonical_form_text_of_mixed_denominators():
+    g = from_generators([vec("1/2", "1/2", "1/3", "1/3", "1/3")])
+    assert g.order == 6
+    key = canonical_form(g)
+    assert key.startswith("0,0,0,0,0|")
+    assert "1/2" in key and "2/3" in key and "/6" not in key
 
 
 def test_group_json_round_trip():
