@@ -13,11 +13,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors
-from .catalog import FamilySpec, construct_group, construct_simplex, expected_classes
+from .catalog import (
+    FamilySpec,
+    chain_generator,
+    construct_group,
+    construct_simplex,
+    expected_classes,
+)
 from .classifier import search, verify_bounds
 from .counting import count_M, ordered_bell
 from .delta import delta_of, ehrhart_check, gorenstein_index, is_gorenstein, target
-from .errors import CriterionFailed, DegenerateSimplex, DimensionTooSmall, NonIntegralHeight
+from .errors import (
+    CriterionFailed,
+    DegenerateSimplex,
+    DimensionTooSmall,
+    NonIntegralHeight,
+    UnsupportedVolume,
+)
 from .residues import (
     canonical_form,
     direct_sum,
@@ -64,7 +76,7 @@ def _expected_canon(v, k):
     return _canon_set(construct_group(s) for s in expected_classes(v, k))
 
 
-def _crit_p2_classification(fast):
+def _crit_p2_classification():
     p = 2
     for k in (0, 1):
         got = _classes(4, k)
@@ -79,15 +91,13 @@ def _crit_p2_classification(fast):
     return "v=4, k in {0,1}: 3 classes each, canonical match"
 
 
-def _crit_pq_classification(fast):
+def _crit_pq_classification():
     got = _classes(6, 0)
     _require(len(got) == 5, f"v=6: {len(got)} classes")
     dims = sorted(g.ambient - 1 for g in got)
     _require(dims == [5, 6, 7, 7, 8], f"v=6 dims {dims}")
     _require(_canon_set(got) == _expected_canon(6, 0),
              "v=6: classes differ from the catalog")
-    if fast:
-        return "v=6: 5 classes, canonical match; v=9 skipped (fast suite)"
     got = _classes(9, 0)
     _require(len(got) == 3, f"v=9: {len(got)} classes")
     _require(_canon_set(got) == _expected_canon(9, 0),
@@ -109,7 +119,7 @@ def _vertex_form_specs():
     return out
 
 
-def _crit_vertex_round_trip(fast):
+def _crit_vertex_round_trip():
     specs = _vertex_form_specs()
     for sp in specs:
         s = construct_simplex(sp)
@@ -120,26 +130,21 @@ def _crit_vertex_round_trip(fast):
 
 
 def _catalog_simplices(max_vol, max_dim):
-    specs = []
-    for p in (2, 3, 5, 7):
-        for k in (0, 1, 2):
-            specs.append(FamilySpec("prime", {"p": p, "k": k}))
-            for case in ("p2-case1", "p2-case2", "p2-case3"):
-                specs.append(FamilySpec(case, {"p": p, "k": k}))
-            for q in (3, 5):
-                if p < q:
-                    for case in ("pq-case1", "pq-case2", "pq-case3",
-                                 "pq-case4", "pq-case5"):
-                        specs.append(FamilySpec(case, {"p": p, "q": q, "k": k}))
     out = []
-    for sp in specs:
-        s = construct_simplex(sp)
-        if s.volume() <= max_vol and s.dim <= max_dim:
-            out.append(s)
+    for v in range(2, max_vol + 1):
+        for k in (0, 1, 2):
+            try:
+                specs = expected_classes(v, k)
+            except UnsupportedVolume:
+                continue
+            for sp in specs:
+                s = construct_simplex(sp)
+                if s.dim <= max_dim:
+                    out.append(s)
     return out
 
 
-def _crit_ehrhart_oracle(fast):
+def _crit_ehrhart_oracle():
     sims = _catalog_simplices(8, 6)
     for s in sims:
         _require(ehrhart_check(s), f"catalog simplex {s.vertices}")
@@ -159,26 +164,11 @@ def _crit_ehrhart_oracle(fast):
     return f"{len(sims)} catalog + 50 random simplices pass the series check"
 
 
-def _crit_dimension_bounds(fast):
-    cases = [(4, 0), (4, 1), (6, 0)]
-    if not fast:
-        cases.append((9, 0))
+def _crit_dimension_bounds():
+    cases = [(4, 0), (4, 1), (6, 0), (9, 0)]
     for v, k in cases:
         verify_bounds(_classes(v, k), v, k)
     return f"bounds and unique minimum hold on {len(cases)} class lists"
-
-
-def _chain_layout(chain, k):
-    """Block lengths and values for one divisor chain."""
-    ext = (1,) + tuple(chain)
-    vt = ext[-1]
-    t = len(chain)
-    lengths = []
-    for i in range(1, t):
-        lengths.append((vt // ext[i - 1] - vt // ext[i + 1]) * (k + 1))
-    lengths.append((vt // ext[t - 1]) * (k + 1))
-    values = [Fraction(1, ext[i]) for i in range(1, t + 1)]
-    return lengths, values
 
 
 def _chain_group_valid(lengths, values, v, k):
@@ -198,7 +188,7 @@ def _chain_group_valid(lengths, values, v, k):
     return delta_of(g) == want
 
 
-def _crit_chain_biconditional(fast):
+def _crit_chain_biconditional():
     chains = []
     for vt in range(2, 13):
         chains.append((vt,))
@@ -212,7 +202,9 @@ def _crit_chain_biconditional(fast):
     for chain in chains:
         v = chain[-1]
         for k in (0, 1):
-            lengths, values = _chain_layout(chain, k)
+            gen = chain_generator(chain, k)
+            values = [Fraction(1, c) for c in chain]
+            lengths = [gen.count(x) for x in values]
             _require(_chain_group_valid(lengths, values, v, k),
                      f"{chain} k={k}")
             tested += 1
@@ -228,7 +220,7 @@ def _crit_chain_biconditional(fast):
     return f"{tested} chain layouts valid, {perturbed} perturbations all fail"
 
 
-def _crit_counting(fast):
+def _crit_counting():
     for p in (2, 3):
         for ell in range(1, 11):
             _require(count_M(p**ell) == 2 ** (ell - 1), f"M({p}^{ell})")
@@ -244,10 +236,8 @@ def _crit_counting(fast):
     return "closed forms, recursion to 1000, exponent invariance"
 
 
-def _crit_delta_properties(fast):
-    cases = [(4, 0), (4, 1), (6, 0)]
-    if not fast:
-        cases.append((9, 0))
+def _crit_delta_properties():
+    cases = [(4, 0), (4, 1), (6, 0), (9, 0)]
     rng = random.Random(418)
     checked = 0
     for v, k in cases:
@@ -300,13 +290,13 @@ CRITERIA = (
 )
 
 
-def run_criterion(num: int, fast: bool = False) -> CheckResult:
+def run_criterion(num: int) -> CheckResult:
     if not 1 <= num <= len(CRITERIA):
         raise ValueError(f"no criterion {num}")
     _, name, fn, limit = CRITERIA[num - 1]
     start = time.perf_counter()
     try:
-        detail = fn(fast)
+        detail = fn()
         ok = True
     except Exception as e:  # noqa: BLE001 - any failure is a FAIL line
         detail = " ".join(str(e).split()) or type(e).__name__
@@ -318,5 +308,5 @@ def run_criterion(num: int, fast: bool = False) -> CheckResult:
     return CheckResult(num, name, ok, detail, elapsed, limit)
 
 
-def run_suite(fast: bool = False) -> list[CheckResult]:
-    return [run_criterion(num, fast) for num, _, _, _ in CRITERIA]
+def run_suite() -> list[CheckResult]:
+    return [run_criterion(num) for num, _, _, _ in CRITERIA]

@@ -7,12 +7,13 @@ fractional values, so the search runs over assignments s of the heights
 1..v-1 (in units of k+1) to the nonzero elements of A.  Heights are
 subadditive, which prunes the assignment tree hard; each complete assignment
 leaves a linear system for the character multiplicities.  The system is
-often rank-deficient (inverse pairs of elements force equal height sums),
-so the solver reduces it once per group and enumerates the nonnegative
-integer points of the remaining low-dimensional polytope, bounded by the
-mass identity sum n_c (1 - 1/ord(c)) = (v-1)(k+1).  Trivial characters are
-excluded, which restricts the search to classes that are not lattice
-pyramids over lower-dimensional ones.
+rank-deficient (inverse pairs of characters force equal height sums), so
+the solver rewrites it once per group in class totals, one per cyclic
+subgroup of characters, and pair differences, one per inverse pair.  That
+system has a unique solution per assignment; the multiplicities are then
+all the ways of splitting each class total across its pairs.  Trivial
+characters are excluded, which restricts the search to classes that are
+not lattice pyramids over lower-dimensional ones.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from .arith import factorize, partitions
@@ -37,7 +38,7 @@ __all__ = [
     "verify_bounds",
 ]
 
-# assignment-tree nodes, polytope-walk nodes, and one node per automorphism
+# assignment-tree nodes, pair-split nodes, and one node per automorphism
 # for each solution's Aut-min profile; sized so v <= 10 at k <= 1 finishes
 # with headroom and a hopeless run still stops quickly
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -66,10 +67,6 @@ class AbstractGroup:
             for ci, ai, f in zip(c, a, self.invariant_factors)
         )
         return total % 1
-
-    def element_order(self, a) -> int:
-        return lcm(*(f // gcd(x, f) for x, f in zip(a, self.invariant_factors))) \
-            if self.invariant_factors else 1
 
 
 def groups_of_order(v: int) -> list[AbstractGroup]:
@@ -217,8 +214,8 @@ class _PairSolver:
     gives a full-column-rank system with a unique solution per assignment;
     the original multiplicities are then all the splits of each T into its
     pairs respecting the fixed differences and parities.  The constructor
-    verifies that the pair shifts span the whole kernel; `complete` reports
-    whether that held (search falls back to a generic walk otherwise).
+    verifies that the pair shifts span the whole kernel and raises
+    SearchInvariantError when they do not.
     """
 
     def __init__(self, group: AbstractGroup, elems):
@@ -267,20 +264,17 @@ class _PairSolver:
             dcols.append([(cols[i][a] - cols[j][a]) * half for a in range(m)])
         nvars = self.nvars = len(tcols) + len(dcols)
         matrix = [[col[a] for col in tcols + dcols] for a in range(m)]
-        rref, ops, pivots = _rref_with_ops(matrix)
-        self.complete = (pivots == list(range(nvars))
-                         and len(pivots) == rank_claim)
-        if not self.complete:
-            return
+        _, ops, pivots = _rref_with_ops(matrix)
+        if pivots != list(range(nvars)) or len(pivots) != rank_claim:
+            raise SearchInvariantError(
+                f"pair shifts do not span the height-system kernel of "
+                f"{facs}: rank {len(pivots)}, expected {rank_claim}")
         self.rank = len(pivots)
         den = lcm(*(x.denominator for row in ops for x in row))
         self.scale = den
         self.ops_int = [[int(x * den) for x in row] for row in ops]
 
-    def prepare(self, k: int):
-        return None
-
-    def solutions(self, s, k, ctx, counter, cap):
+    def solutions(self, s, k, counter, cap):
         """All nonnegative integer multiplicity vectors for one assignment."""
         m, rank, den = self.m, self.rank, self.scale
         ops = self.ops_int
@@ -356,99 +350,6 @@ class _PairSolver:
             yield from spread(0, per_class[ci])
 
         yield from rec(0, [0] * m)
-
-
-class _WalkSolver:
-    """Generic fallback: RREF plus a bounded walk over the free columns.
-
-    Used only when the pair structure does not account for the whole kernel
-    of a group's height system.  The walk enumerates nonnegative integer
-    points of the solution polytope, bounded by the mass identity and by
-    static worst-case suffixes for the pivot rows.
-    """
-
-    def __init__(self, group: AbstractGroup, elems):
-        self.v = group.order
-        m = self.m = len(elems)
-        matrix = [[group.character(c, a) for c in elems] for a in elems]
-        rref, ops, pivots = _rref_with_ops(matrix)
-        self.rank = len(pivots)
-        self.pivots = pivots
-        weights = [Fraction(group.element_order(c) - 1, group.element_order(c))
-                   for c in elems]
-        pivset = set(pivots)
-        self.free = sorted((c for c in range(m) if c not in pivset),
-                           key=lambda c: (-weights[c], c))
-        dens = [x.denominator for r in ops for x in r]
-        dens += [rref[r][f].denominator for r in range(self.rank) for f in self.free]
-        self.scale = lcm(*dens) if dens else 1
-        self.ops_int = [[int(x * self.scale) for x in r] for r in ops]
-        self.coef = [[int(rref[r][f] * self.scale) for f in self.free]
-                     for r in range(self.rank)]
-        # v * weight is an integer since character orders divide v
-        self.vw = [self.v - self.v // group.element_order(c) for c in elems]
-
-    def prepare(self, k: int):
-        """Static per-k bounds: box sizes and worst-case negative suffixes."""
-        vm = self.v * (self.v - 1) * (k + 1)
-        nf = len(self.free)
-        box = [vm // self.vw[c] for c in self.free]
-        neg = [[0] * self.rank for _ in range(nf + 1)]
-        for j in range(nf - 1, -1, -1):
-            for r in range(self.rank):
-                val = neg[j + 1][r]
-                if self.coef[r][j] < 0:
-                    val += self.coef[r][j] * box[j]
-                neg[j][r] = val
-        return vm, box, neg
-
-    def solutions(self, s, k, ctx, counter, cap):
-        """Nonnegative integer multiplicity vectors for one slot assignment."""
-        m, rank, d = self.m, self.rank, self.scale
-        for z in range(rank, m):
-            if sum(self.ops_int[z][a] * s[a] for a in range(m)):
-                return
-        vm, box, neg = ctx
-        kk = k + 1
-        beta = [kk * sum(self.ops_int[r][a] * s[a] for a in range(m))
-                for r in range(rank)]
-        free, coef, vw = self.free, self.coef, self.vw
-        nf = len(free)
-        assign = [0] * nf
-
-        def rec(j, rem, part):
-            counter[0] += 1
-            if counter[0] > cap:
-                raise _budget_error(counter, cap)
-            if j == nf:
-                n = [0] * m
-                for r in range(rank):
-                    val = part[r]
-                    if val < 0 or val % d:
-                        return
-                    n[self.pivots[r]] = val // d
-                for jj in range(nf):
-                    n[free[jj]] = assign[jj]
-                yield tuple(n)
-                return
-            w = vw[free[j]]
-            nxt = neg[j + 1]
-            for x in range(min(box[j], rem // w) + 1):
-                newpart = [part[r] - coef[r][j] * x for r in range(rank)]
-                if any(newpart[r] < nxt[r] for r in range(rank)):
-                    continue
-                assign[j] = x
-                yield from rec(j + 1, rem - w * x, newpart)
-            assign[j] = 0
-
-        yield from rec(0, vm, beta)
-
-
-def _make_solver(group: AbstractGroup, elems):
-    solver = _PairSolver(group, elems)
-    if solver.complete:
-        return solver
-    return _WalkSolver(group, elems)
 
 
 def _aut_character_perms(group: AbstractGroup, elems):
@@ -535,13 +436,12 @@ def search(v: int, k: int, budget: int | None = DEFAULT_NODE_BUDGET) -> list:
     try:
         for group in groups_of_order(v):
             elems = _nonzero_elements(group)
-            solver = _make_solver(group, elems)
-            ctx = solver.prepare(k)
+            solver = _PairSolver(group, elems)
             add = _addition_table(group, elems)
             getters = None
             seen_profiles = set()
             for s in _bijection_dfs(add, len(elems), counter, cap):
-                for counts in solver.solutions(s, k, ctx, counter, cap):
+                for counts in solver.solutions(s, k, counter, cap):
                     if getters is None:
                         getters = [itemgetter(*p)
                                    for p in _aut_character_perms(group, elems)]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,10 +25,6 @@ from .residues import canonical_form, group_from_json, group_of_simplex, group_t
 from .simplex import simplex_from_json, simplex_to_json
 
 __all__ = ["main"]
-
-
-class _BadInput(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,15 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser("classify", help="search all classes of one volume")
     cl.add_argument("--v", type=int, required=True)
     cl.add_argument("--k", type=int, required=True)
-    cl.add_argument("--budget", type=int, default=None,
-                    help="node budget (default GORSIM_BUDGET or built-in)")
+    cl.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                    help="node budget (default %(default)s)")
 
     co = sub.add_parser("count", help="chain count M and known class count N")
     co.add_argument("--v", type=int, required=True)
 
-    ve = sub.add_parser("verify", help="run the acceptance criteria")
-    ve.add_argument("--suite", choices=("all", "fast"), default="all",
-                    help="'fast' skips the v=9 classification")
+    sub.add_parser("verify", help="run the acceptance criteria")
     return parser
 
 
@@ -72,18 +65,6 @@ def _load_json(path: str):
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("GORSIM_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise _BadInput(f"GORSIM_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _cmd_delta(args) -> int:
@@ -119,7 +100,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    classes = search(args.v, args.k, budget=_budget(args))
+    classes = search(args.v, args.k, budget=args.budget)
     try:
         expected = {
             canonical_form(construct_group(sp)): str(sp)
@@ -154,7 +135,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(fast=args.suite == "fast")
+    results = run_suite()
     for r in results:
         if r.ok:
             print(f"criterion {r.num} {r.name}: PASS")
@@ -186,7 +167,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"error: {' '.join(str(e).split())}", file=sys.stderr)
         return 1
-    except (_BadInput, GorsimError, ValueError, OSError) as e:
+    except (GorsimError, ValueError, OSError) as e:
         print(f"error: {' '.join(str(e).split()) or type(e).__name__}",
               file=sys.stderr)
         return 2

@@ -200,13 +200,13 @@ def group_to_json(g):
             "generators": [[str(x) for x in gen] for gen in g.generators]}
 
 
-def group_from_json(obj, strict=True):
+def group_from_json(obj):
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError("group JSON needs a 'generators' field")
     gens = [[Fraction(x) for x in gen] for gen in obj["generators"]]
     if not gens:
         return trivial(int(obj.get("ambient", 0)))
-    g = from_generators(gens, strict=strict)
+    g = from_generators(gens)
     if "ambient" in obj and int(obj["ambient"]) != g.ambient:
         raise ValueError("declared ambient does not match generators")
     return g

@@ -12,7 +12,7 @@ from gorsim.acceptance import CRITERIA, run_criterion
 
 
 def _run(num):
-    result = run_criterion(num, fast=False)
+    result = run_criterion(num)
     status = "PASS" if result.ok else "FAIL"
     print(f"criterion {result.num} {result.name}: {status} "
           f"({result.detail}) in {result.elapsed:.2f}s")

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from gorsim import classifier
 from gorsim.catalog import construct_group, expected_classes
 from gorsim.classifier import (
     AbstractGroup,
@@ -14,7 +15,7 @@ from gorsim.classifier import (
     verify_bounds,
 )
 from gorsim.delta import delta_of, target
-from gorsim.errors import BoundViolation, BudgetExceeded
+from gorsim.errors import BoundViolation, BudgetExceeded, SearchInvariantError
 from gorsim.residues import canonical_form, from_generators
 
 F = Fraction
@@ -148,6 +149,27 @@ def test_search_budget_counts_automorphism_dedupe():
         search(8, 0, budget=10_000)
     assert isinstance(e.value.partial, list)
     assert e.value.used > 10_000
+
+
+def test_pair_solver_spans_every_small_group():
+    # the constructor raises unless the pair shifts span the kernel of the
+    # height system; it is the only multiplicity solver
+    groups = [g for v in range(2, 25) for g in groups_of_order(v)]
+    assert len(groups) == 36
+    for g in groups:
+        classifier._PairSolver(g, classifier._nonzero_elements(g))
+
+
+def test_search_rejects_rank_shortfall(monkeypatch):
+    real = classifier._rref_with_ops
+
+    def drop_last_pivot(matrix):
+        rref, ops, pivots = real(matrix)
+        return rref, ops, pivots[:-1]
+
+    monkeypatch.setattr(classifier, "_rref_with_ops", drop_last_pivot)
+    with pytest.raises(SearchInvariantError, match=r"\(4,\)"):
+        search(4, 0)
 
 
 def test_verify_bounds_rejects_bad_sets():

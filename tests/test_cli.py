@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,14 @@ def test_delta_not_gorenstein(capsys, tmp_path):
                    "volume = 5\n"
                    "gorenstein = false\n"
                    "index = none\n")
+
+
+def test_delta_rejects_fractional_height(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": [["1/2", "1/3"]]}))
+    code, _, err = run(capsys, "delta", "--generators", str(path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_delta_needs_exactly_one_source(capsys, tmp_path):
@@ -155,17 +164,23 @@ def test_classify_budget_flag(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert err.count("\n") == 1
-
-
-def test_classify_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("GORSIM_BUDGET", "5")
-    code, _, err = run(capsys, "classify", "--v", "6", "--k", "0")
-    assert code == 1
-    assert err.startswith("error:")
-    monkeypatch.setenv("GORSIM_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "classify", "--v", "6", "--k", "0")
+    code, _, _ = run(capsys, "classify", "--v", "6", "--k", "0",
+                     "--budget", "not-a-number")
     assert code == 2
-    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("v,k,digest", [
+    (6, 0, "04ac7e68b95826c262a51731c1de0e8ffc8ad6527efd9b39b01f70c8b30b2b6f"),
+    (8, 0, "6c773e03e449936722e067cb054313ada0896e682fcd2e10ebb55330d9840d10"),
+    (9, 0, "b23aab191e20465f4e0db29fb1300a4d6bf67e8393709d0800328639785a09a2"),
+    (12, 1, "c305eaaa3f2a748856002e58b3c5a899484795db9eac516ac7655ccb7ca045a2"),
+])
+def test_classify_golden_output(capsys, v, k, digest):
+    # sha256 of the full stdout; any change to a class list, its order,
+    # a generator's text or a matched family shows here
+    code, out, _ = run(capsys, "classify", "--v", str(v), "--k", str(k))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_bad_volume(capsys):
@@ -174,8 +189,8 @@ def test_classify_bad_volume(capsys):
     assert err.startswith("error:")
 
 
-def test_verify_fast_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "fast")
+def test_verify_full_suite(capsys):
+    code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = out.splitlines()
     checks = [ln for ln in lines if ln.startswith("criterion ")]
@@ -184,7 +199,7 @@ def test_verify_fast_suite(capsys):
     assert lines[-1] == "8 passed, 0 failed"
 
 
-def test_verify_rejects_unknown_suite(capsys):
+def test_verify_rejects_suite_option(capsys):
     assert run(capsys, "verify", "--suite", "everything")[0] == 2
 
 
