@@ -1,9 +1,15 @@
 """Catalog of group families whose delta polynomial is 1 + t^(k+1) + ... + t^((v-1)(k+1)).
 
-Each family is named by a FamilySpec and can be realized as a residue group;
-the prime-power-volume and prime-product-volume cases additionally carry an
-explicit vertex description (construct_simplex).  expected_classes lists, for
-a supported volume, the full set of classes in a fixed order.
+Each family is named by a FamilySpec and can be realized as a residue group.
+The named families, the classes for v = p, p**2 and pq, have one of two
+shapes.  A divisor chain of one or two terms is the single generator
+chain_generator, with vertex form family_A.  The join (a, b) of two primes
+is the block (1/a) x a(k+1) followed by the block (1/b) x ab(k+1), the join
+of prime(a, k) with prime(b, a(k+1) - 1), with vertex form family_BC.
+divisor(v, u, k) is the two-term chain (v/u, v); it and the families chain
+and join, which take any divisor chain or any two specs, have no vertex
+form.  expected_classes lists, for a supported volume, the full set of
+classes in a fixed order.
 """
 
 from __future__ import annotations
@@ -78,18 +84,6 @@ def _spec_param(sp: FamilySpec, name: str) -> FamilySpec:
     return x
 
 
-def _pk(sp: FamilySpec) -> tuple[int, int]:
-    return _prime_param(sp, "p"), _int_param(sp, "k")
-
-
-def _pqk(sp: FamilySpec) -> tuple[int, int, int]:
-    p = _prime_param(sp, "p")
-    q = _prime_param(sp, "q")
-    if p == q:
-        raise InvalidParams("p and q must be distinct primes")
-    return p, q, _int_param(sp, "k")
-
-
 def _family_k(sp: FamilySpec) -> int:
     """The k whose target polynomial the family realizes."""
     if sp.family == "join":
@@ -105,7 +99,11 @@ def chain_generator(chain, k) -> tuple[Fraction, ...]:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidChain(f"k must be a nonnegative integer, got {k!r}")
-    chain = tuple(chain)
+    try:
+        chain = tuple(chain)
+    except TypeError:
+        raise InvalidChain(
+            f"chain must be a sequence of integers, got {chain!r}") from None
     if not chain or any(not isinstance(x, int) for x in chain) or chain[0] <= 1:
         raise InvalidChain(f"chain must be integers starting above 1: {chain}")
     for a, b in zip(chain, chain[1:]):
@@ -124,65 +122,52 @@ def chain_generator(chain, k) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
+# named family -> (shape, its divisor chain or prime pair, given the primes)
+_NAMED = {
+    "prime": ("chain", lambda p: (p,)),
+    "p2-case1": ("chain", lambda p: (p * p,)),
+    "p2-case2": ("chain", lambda p: (p, p * p)),
+    "p2-case3": ("join", lambda p: (p, p)),
+    "pq-case1": ("chain", lambda p, q: (p * q,)),
+    "pq-case2": ("join", lambda p, q: (p, q)),
+    "pq-case3": ("join", lambda p, q: (q, p)),
+    "pq-case4": ("chain", lambda p, q: (q, p * q)),
+    "pq-case5": ("chain", lambda p, q: (p, p * q)),
+}
+
+
+def _shape(sp: FamilySpec) -> tuple[str, tuple[int, ...], int]:
+    """Shape, chain or pair, and k of a named family, parameters validated."""
+    kind, terms_of = _NAMED[sp.family]
+    primes = [_prime_param(sp, "p")]
+    if sp.family.startswith("pq-"):
+        primes.append(_prime_param(sp, "q"))
+        if primes[0] == primes[1]:
+            raise InvalidParams("p and q must be distinct primes")
+    return kind, terms_of(*primes), _int_param(sp, "k")
+
+
 def _generators(sp: FamilySpec) -> list[tuple[Fraction, ...]]:
     f = sp.family
-    if f == "prime":
-        p, k = _pk(sp)
-        return [(Fraction(1, p),) * (p * (k + 1))]
+    if f in _NAMED:
+        kind, terms, k = _shape(sp)
+        if kind == "chain":
+            return [chain_generator(terms, k)]
+        a, b = terms
+        first = (Fraction(1, a),) * (a * (k + 1))
+        second = (Fraction(1, b),) * (a * b * (k + 1))
+        if a != b:
+            return [first + second]
+        # one summed generator would only have order a
+        zero = Fraction(0)
+        return [first + (zero,) * len(second), (zero,) * len(first) + second]
     if f == "divisor":
         v = _int_param(sp, "v", 2)
         u = _int_param(sp, "u", 1)
         k = _int_param(sp, "k")
         if u >= v or v % u:
             raise InvalidParams(f"u must be a proper divisor of v, got u={u}, v={v}")
-        return [
-            (Fraction(u, v),) * ((v - 1) * (k + 1))
-            + (Fraction(1, v),) * (u * (k + 1))
-        ]
-    if f == "p2-case1":
-        p, k = _pk(sp)
-        return [(Fraction(1, p * p),) * (p * p * (k + 1))]
-    if f == "p2-case2":
-        p, k = _pk(sp)
-        return [
-            (Fraction(1, p),) * ((p * p - 1) * (k + 1))
-            + (Fraction(1, p * p),) * (p * (k + 1))
-        ]
-    if f == "p2-case3":
-        p, k = _pk(sp)
-        a, b = p * (k + 1), p * p * (k + 1)
-        zero = Fraction(0)
-        return [
-            (Fraction(1, p),) * a + (zero,) * b,
-            (zero,) * a + (Fraction(1, p),) * b,
-        ]
-    if f == "pq-case1":
-        p, q, k = _pqk(sp)
-        return [(Fraction(1, p * q),) * (p * q * (k + 1))]
-    if f == "pq-case2":
-        p, q, k = _pqk(sp)
-        return [
-            (Fraction(1, p),) * (p * (k + 1))
-            + (Fraction(1, q),) * (p * q * (k + 1))
-        ]
-    if f == "pq-case3":
-        p, q, k = _pqk(sp)
-        return [
-            (Fraction(1, q),) * (q * (k + 1))
-            + (Fraction(1, p),) * (p * q * (k + 1))
-        ]
-    if f == "pq-case4":
-        p, q, k = _pqk(sp)
-        return [
-            (Fraction(1, q),) * ((p * q - 1) * (k + 1))
-            + (Fraction(1, p * q),) * (p * (k + 1))
-        ]
-    if f == "pq-case5":
-        p, q, k = _pqk(sp)
-        return [
-            (Fraction(1, p),) * ((p * q - 1) * (k + 1))
-            + (Fraction(1, p * q),) * (q * (k + 1))
-        ]
+        return [chain_generator((v // u, v) if u > 1 else (v,), k)]
     if f == "chain":
         if "chain" not in sp.params:
             raise InvalidParams("chain family needs parameter 'chain'")
@@ -209,59 +194,24 @@ def construct_group(sp: FamilySpec) -> ResidueGroup:
 
 
 def construct_simplex(sp: FamilySpec) -> LatticeSimplex:
-    """Explicit vertex realization, where one is known."""
+    """Explicit vertex realization, where one is known (the named families)."""
     f = sp.family
-    if f == "prime":
-        p, k = _pk(sp)
-        return family_A([1] * (p * (k + 1) - 2) + [p])
-    if f == "p2-case1":
-        p, k = _pk(sp)
-        return family_A([1] * (p * p * (k + 1) - 2) + [p * p])
-    if f == "p2-case2":
-        p, k = _pk(sp)
+    if f not in _NAMED:
+        if f in FAMILIES:
+            raise NoVertexForm(f"no vertex description for family {f!r}")
+        raise InvalidParams(f"unknown family {f!r}")
+    kind, terms, k = _shape(sp)
+    if kind == "chain":
+        v = terms[-1]
+        r = v // terms[0]
         return family_A(
-            [1] * (p * (k + 1) - 1)
-            + [p] * ((p * p - 1) * (k + 1) - 1)
-            + [p * p]
+            [1] * (r * (k + 1) - 1) + [r] * ((v - 1) * (k + 1) - 1) + [v]
         )
-    if f == "p2-case3":
-        p, k = _pk(sp)
-        return family_BC(
-            [1] * (p * (k + 1) - 1) + [p],
-            [p] * (p * (k + 1)) + [1] * (p * p * (k + 1) - 2) + [p],
-        )
-    if f == "pq-case1":
-        p, q, k = _pqk(sp)
-        return family_A([1] * (p * q * (k + 1) - 2) + [p * q])
-    if f == "pq-case2":
-        p, q, k = _pqk(sp)
-        return family_BC(
-            [1] * (p * (k + 1) - 1) + [p],
-            [q] * (p * (k + 1)) + [1] * (p * q * (k + 1) - 2) + [q],
-        )
-    if f == "pq-case3":
-        p, q, k = _pqk(sp)
-        return family_BC(
-            [1] * (q * (k + 1) - 1) + [q],
-            [p] * (q * (k + 1)) + [1] * (p * q * (k + 1) - 2) + [p],
-        )
-    if f == "pq-case4":
-        p, q, k = _pqk(sp)
-        return family_A(
-            [1] * (p * (k + 1) - 1)
-            + [p] * ((p * q - 1) * (k + 1) - 1)
-            + [p * q]
-        )
-    if f == "pq-case5":
-        p, q, k = _pqk(sp)
-        return family_A(
-            [1] * (q * (k + 1) - 1)
-            + [q] * ((p * q - 1) * (k + 1) - 1)
-            + [p * q]
-        )
-    if f in FAMILIES:
-        raise NoVertexForm(f"no vertex description for family {f!r}")
-    raise InvalidParams(f"unknown family {f!r}")
+    a, b = terms
+    return family_BC(
+        [1] * (a * (k + 1) - 1) + [a],
+        [b] * (a * (k + 1)) + [1] * (a * b * (k + 1) - 2) + [b],
+    )
 
 
 def expected_classes(v: int, k: int) -> list[FamilySpec]:

@@ -357,7 +357,10 @@ def _aut_character_perms(group: AbstractGroup, elems):
 
     Characters c and c' index the same class when an automorphism carries
     one multiplicity profile to the other, so orbit representatives are
-    enough before the final canonical dedupe.
+    enough before the final canonical dedupe.  The pairing
+    <c, a> = sum c_i a_i / f_i identifies the group with its characters, and
+    the transpose of an automorphism is again one, so the permutations Aut
+    induces on the characters are those it induces on the nonzero elements.
     """
     facs = group.invariant_factors
     r = len(facs)
@@ -373,27 +376,18 @@ def _aut_character_perms(group: AbstractGroup, elems):
     perms = set()
     for images in product(*cands):
         seen = set()
-        ok = True
+        image = {}
         for a in all_elems:
             fa = tuple(
                 sum(a[i] * images[i][j] for i in range(r)) % facs[j]
                 for j in range(r)
             )
             if fa in seen:
-                ok = False
                 break
             seen.add(fa)
-        if not ok:
-            continue
-        perm = []
-        for c in elems:
-            cp = tuple(
-                sum(c[i] * ((facs[j] * images[j][i]) // facs[i])
-                    for i in range(r)) % facs[j]
-                for j in range(r)
-            )
-            perm.append(idx[cp])
-        perms.add(tuple(perm))
+            image[a] = fa
+        else:
+            perms.add(tuple(idx[image[c]] for c in elems))
     return sorted(perms)
 
 
@@ -423,6 +417,8 @@ def search(v: int, k: int, budget: int | None = DEFAULT_NODE_BUDGET) -> list:
         raise InvalidParams(f"volume must be an integer >= 2, got {v!r}")
     if not isinstance(k, int) or k < 0:
         raise InvalidParams(f"k must be a nonnegative integer, got {k!r}")
+    if budget is not None and budget < 1:
+        raise InvalidParams(f"budget must be at least 1 node, got {budget!r}")
     cap = budget if budget is not None else float("inf")
     counter = [0]
     found = {}

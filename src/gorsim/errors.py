@@ -50,7 +50,7 @@ class NoVertexForm(GorsimError):
 
 
 class UnsupportedVolume(GorsimError):
-    """Volume does not factor as p**2 or pq, so no expected classification exists."""
+    """Volume is not a prime, p**2 or pq, so no expected classification exists."""
 
 
 class BoundViolation(GorsimError):

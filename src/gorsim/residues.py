@@ -203,10 +203,19 @@ def group_to_json(g):
 def group_from_json(obj):
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError("group JSON needs a 'generators' field")
-    gens = [[Fraction(x) for x in gen] for gen in obj["generators"]]
+    rows = obj["generators"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list)
+            and all(isinstance(x, (int, float, str)) for x in row)
+            for row in rows):
+        raise ValueError("'generators' must be a list of lists of fractions")
+    ambient = obj.get("ambient", 0)
+    if not isinstance(ambient, int):
+        raise ValueError(f"'ambient' must be an integer, got {ambient!r}")
+    gens = [[Fraction(x) for x in gen] for gen in rows]
     if not gens:
-        return trivial(int(obj.get("ambient", 0)))
+        return trivial(ambient)
     g = from_generators(gens)
-    if "ambient" in obj and int(obj["ambient"]) != g.ambient:
+    if "ambient" in obj and ambient != g.ambient:
         raise ValueError("declared ambient does not match generators")
     return g

@@ -147,7 +147,12 @@ def simplex_to_json(s):
 def simplex_from_json(obj):
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError("simplex JSON needs a 'vertices' field")
-    s = from_vertices(obj["vertices"])
+    rows = obj["vertices"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            for row in rows):
+        raise ValueError("'vertices' must be a list of lists of integers")
+    s = from_vertices(rows)
     if "dim" in obj and obj["dim"] != s.dim:
         raise ValueError("declared dim does not match vertices")
     return s

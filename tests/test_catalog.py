@@ -151,8 +151,21 @@ def test_chain_generator_values():
     assert chain_generator((2,), 1) == vec("1/2", "1/2", "1/2", "1/2")
 
 
+def test_join_families_are_joins_of_primes():
+    def join(a, b, k):
+        return construct_group(spec("join", first=spec("prime", p=a, k=k),
+                                    second=spec("prime", p=b, k=a * (k + 1) - 1)))
+
+    for k in (0, 1, 2):
+        for p in (2, 3, 5):
+            assert construct_group(spec("p2-case3", p=p, k=k)) == join(p, p, k)
+        for p, q in ((2, 3), (2, 5), (3, 5)):
+            assert construct_group(spec("pq-case2", p=p, q=q, k=k)) == join(p, q, k)
+            assert construct_group(spec("pq-case3", p=p, q=q, k=k)) == join(q, p, k)
+
+
 def test_chain_invalid():
-    for bad in [(4, 2), (2, 5), (1, 2), (), (2, 2)]:
+    for bad in [(4, 2), (2, 5), (1, 2), (), (2, 2), 4]:
         with pytest.raises(InvalidChain):
             chain_generator(bad, 0)
     with pytest.raises(InvalidChain):

@@ -15,7 +15,12 @@ from gorsim.classifier import (
     verify_bounds,
 )
 from gorsim.delta import delta_of, target
-from gorsim.errors import BoundViolation, BudgetExceeded, SearchInvariantError
+from gorsim.errors import (
+    BoundViolation,
+    BudgetExceeded,
+    InvalidParams,
+    SearchInvariantError,
+)
 from gorsim.residues import canonical_form, from_generators
 
 F = Fraction
@@ -139,6 +144,9 @@ def test_search_budget():
     with pytest.raises(BudgetExceeded) as e:
         search(6, 0, budget=5)
     assert isinstance(e.value.partial, list)
+    for bad in (0, -5):
+        with pytest.raises(InvalidParams):
+            search(6, 0, budget=bad)
 
 
 def test_search_budget_counts_automorphism_dedupe():
@@ -149,6 +157,25 @@ def test_search_budget_counts_automorphism_dedupe():
         search(8, 0, budget=10_000)
     assert isinstance(e.value.partial, list)
     assert e.value.used > 10_000
+
+
+@pytest.mark.parametrize("facs,order", [
+    ((2, 4), 8),
+    ((2, 2, 2), 168),
+    ((3, 3), 48),
+    ((12,), 4),
+])
+def test_aut_perms_are_the_automorphisms(facs, order):
+    group = AbstractGroup(facs)
+    elems = classifier._nonzero_elements(group)
+    add = classifier._addition_table(group, elems)
+    perms = classifier._aut_character_perms(group, elems)
+    assert len(perms) == len(set(perms)) == order
+    for p in perms:
+        assert sorted(p) == list(range(len(elems)))
+        for i, row in enumerate(add):
+            for j, x in enumerate(row):
+                assert add[p[i]][p[j]] == (p[x] if x >= 0 else -1)
 
 
 def test_pair_solver_spans_every_small_group():

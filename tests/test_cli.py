@@ -71,6 +71,20 @@ def test_delta_rejects_fractional_height(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag,obj", [
+    ("--generators", {"generators": 5}),
+    ("--generators", {"generators": [1]}),
+    ("--simplex", {"vertices": 5}),
+])
+def test_delta_rejects_malformed_json(capsys, tmp_path, flag, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "delta", flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_delta_needs_exactly_one_source(capsys, tmp_path):
     assert run(capsys, "delta")[0] == 2
     path = tmp_path / "x.json"
@@ -137,6 +151,14 @@ def test_construct_bad_params(capsys):
     assert err.startswith("error:")
 
 
+def test_construct_rejects_non_sequence_chain(capsys):
+    code, out, err = run(capsys, "construct", "--family",
+                         '{"family": "chain", "params": {"chain": 4, "k": 0}}')
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_classify_matching_volume(capsys):
     code, out, _ = run(capsys, "classify", "--v", "4", "--k", "0")
     assert code == 0
@@ -167,6 +189,12 @@ def test_classify_budget_flag(capsys):
     code, _, _ = run(capsys, "classify", "--v", "6", "--k", "0",
                      "--budget", "not-a-number")
     assert code == 2
+    for bad in ("-5", "0"):
+        code, out, err = run(capsys, "classify", "--v", "4", "--k", "0",
+                             "--budget", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("v,k,digest", [
@@ -180,6 +208,59 @@ def test_classify_golden_output(capsys, v, k, digest):
     # a generator's text or a matched family shows here
     code, out, _ = run(capsys, "classify", "--v", str(v), "--k", str(k))
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _prime_spec(p, k):
+    return {"family": "prime", "params": {"p": p, "k": k}}
+
+
+def _golden_specs(family):
+    primes = (2, 3, 5)
+    if family.startswith("pq-"):
+        return [{"family": family, "params": {"p": p, "q": q, "k": k}}
+                for p in primes for q in primes if p != q for k in (0, 1)]
+    if family == "divisor":
+        return [{"family": family, "params": {"v": v, "u": u, "k": k}}
+                for v, u in ((2, 1), (4, 2), (6, 2), (6, 3), (12, 4), (9, 3))
+                for k in (0, 1)]
+    if family == "chain":
+        return [{"family": family, "params": {"chain": list(c), "k": k}}
+                for c in ((2,), (2, 4), (3, 6), (2, 4, 8), (2, 6, 12))
+                for k in (0, 1)]
+    if family == "join":
+        return [{"family": family,
+                 "params": {"first": _prime_spec(a, k),
+                            "second": _prime_spec(b, a * (k + 1) - 1)}}
+                for a, b in ((2, 2), (2, 3), (3, 2), (3, 5)) for k in (0, 1)]
+    return [{"family": family, "params": {"p": p, "k": k}}
+            for p in primes for k in (0, 1)]
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("prime", "9fed92c32e823d1f1ecb05ab7c44c4cbe4d3394b8244ff2b2d354277290d3c7b"),
+    ("p2-case1", "d6f931a0aa8fcb2919d6d842ef0cc4008ba9a62972b20d4de1ba345e26130fe2"),
+    ("p2-case2", "6b977234da750d9ab37356987779e588b257bd48edd276a54e2fb2a00e4a3f9d"),
+    ("p2-case3", "4c5c64b23dc9d6bce51dd1dffd9e7b3a06671ccea152d9a2bb358745b3c01805"),
+    ("pq-case1", "0c938ba86cd0a2e7cf7d4003c26bf60c4e0e9dafde1e9db9581aa67afb7d70f4"),
+    ("pq-case2", "099d6ca96a6c3a5c766eb19aa9b0bad86767a962ca2714ff5c95f55f6a3e4f9a"),
+    ("pq-case3", "66a01107d78a0e60b3b60a5f09c81222ab38951b74f42908ad76a60d7aa18152"),
+    ("pq-case4", "9d9561f3364cdd9733794a6a781250be3af004ba6c4efd64d5926941a9111199"),
+    ("pq-case5", "8dd603fb46425ddb54bf3f58acf25a7b2a1a09285080cee3cf0de6bf6822c1fc"),
+    ("divisor", "c77e99fc3202812803589a013b56b82a8a3e7d7f7bb9d0f494e2ed51756acd8a"),
+    ("chain", "2530cab6457611e1f648bc2c3f6caa0f84d1a009f3be02c48a4257dc219af9d4"),
+    ("join", "1cd69865040a04a4c8b21f8aa97fb4a933355289d87f78611bb33b1546f1eedb"),
+])
+def test_construct_golden_output(capsys, family, digest):
+    # sha256 of the concatenated stdout over the family's cases; the named
+    # families also emit their vertex form
+    vertex_form = [] if family in ("divisor", "chain", "join") else ["--vertex-form"]
+    out = ""
+    for sp in _golden_specs(family):
+        code, text, _ = run(capsys, "construct", "--family", json.dumps(sp),
+                            *vertex_form)
+        assert code == 0, sp
+        out += text
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
