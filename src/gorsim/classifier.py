@@ -5,15 +5,16 @@ with a multiset of nonzero characters of A, one per coordinate.  The height
 of a group element is a nonnegative integer combination of character
 fractional values, so the search runs over assignments s of the heights
 1..v-1 (in units of k+1) to the nonzero elements of A.  Heights are
-subadditive, which prunes the assignment tree hard; each complete assignment
-leaves a linear system for the character multiplicities.  The system is
-rank-deficient (inverse pairs of characters force equal height sums), so
-the solver rewrites it once per group in class totals, one per cyclic
-subgroup of characters, and pair differences, one per inverse pair.  That
-system has a unique solution per assignment; the multiplicities are then
-all the ways of splitting each class total across its pairs.  Trivial
-characters are excluded, which restricts the search to classes that are
-not lattice pyramids over lower-dimensional ones.
+subadditive, which prunes the assignment tree hard, and the tree yields one
+assignment per Aut(A)-orbit, its least (orderly generation).  Each
+assignment leaves a linear system for the character multiplicities.
+The system is rank-deficient (inverse pairs of characters force equal
+height sums), so the solver rewrites it once per group in class totals, one
+per cyclic subgroup of characters, and pair differences, one per inverse
+pair.  That system has a unique solution per assignment; the multiplicities
+are then all the ways of splitting each class total across its pairs.
+Trivial characters are excluded, which restricts the search to classes that
+are not lattice pyramids over lower-dimensional ones.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from operator import itemgetter
+from math import gcd, lcm, prod
 
 from .arith import factorize, partitions
 from .delta import delta_of, target
@@ -38,9 +38,9 @@ __all__ = [
     "verify_bounds",
 ]
 
-# assignment-tree nodes, pair-split nodes, and one node per automorphism
-# for each solution's Aut-min profile; sized so v <= 10 at k <= 1 finishes
-# with headroom and a hopeless run still stops quickly
+# tree nodes, one node per automorphism in each orbit check, the Aut listing
+# and pair-split nodes; sized so v <= 10 at k <= 1 finishes with headroom and
+# a hopeless run still stops quickly
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
@@ -52,10 +52,7 @@ class AbstractGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return prod(self.invariant_factors)
 
     def elements(self):
         return product(*(range(f) for f in self.invariant_factors))
@@ -98,19 +95,21 @@ def _budget_error(counter, cap):
     return BudgetExceeded(f"search exceeded {cap} nodes", used=counter[0])
 
 
-def _bijection_dfs(add, m, counter, cap):
-    """Yield all subadditive bijections onto slots 1..m.
+def _bijection_dfs(add, m, counter, cap, perms):
+    """Yield the least subadditive bijection onto slots 1..m of each orbit.
 
     add[i][j] is the index of elems[i] + elems[j], or -1 when the sum is
     zero.  Slots are filled in increasing order; bound[x] is the tightest
     s(a) + s(b) over assigned pairs with a + b = x, an upper bound for any
-    slot x may still take.
+    slot x may still take.  Element i takes slot t only when no permutation
+    in perms fixing the earlier slots' elements maps it lower, so elements
+    listed by slot are least in their orbit; the identity alone yields all.
     """
     INF = m + 1
     bound = [INF] * m
     slot = [0] * m
 
-    def rec(t):
+    def rec(t, stab):
         if t > m:
             yield tuple(slot)
             return
@@ -130,9 +129,11 @@ def _bijection_dfs(add, m, counter, cap):
         if dead:
             return
         for i in ([forced] if forced >= 0 else cands):
-            counter[0] += 1
+            counter[0] += len(stab)
             if counter[0] > cap:
                 raise _budget_error(counter, cap)
+            if any(p[i] < i for p in stab):
+                continue
             slot[i] = t
             row = add[i]
             changed = []
@@ -144,12 +145,12 @@ def _bijection_dfs(add, m, counter, cap):
                         if nb < bound[tgt]:
                             changed.append((tgt, bound[tgt]))
                             bound[tgt] = nb
-            yield from rec(t + 1)
+            yield from rec(t + 1, [p for p in stab if p[i] == i])
             for tgt, old in changed:
                 bound[tgt] = old
             slot[i] = 0
 
-    yield from rec(1)
+    yield from rec(1, perms)
 
 
 def _addition_table(group: AbstractGroup, elems):
@@ -168,10 +169,9 @@ def _addition_table(group: AbstractGroup, elems):
 def subadditive_bijections(group: AbstractGroup,
                            budget: int = DEFAULT_NODE_BUDGET) -> list:
     """All subadditive bijections from the nonzero elements onto 1..|A|-1."""
-    elems = _nonzero_elements(group)
-    add = _addition_table(group, elems)
-    counter = [0]
-    return list(_bijection_dfs(add, len(elems), counter, budget))
+    m = group.order - 1
+    add = _addition_table(group, _nonzero_elements(group))
+    return list(_bijection_dfs(add, m, [0], budget, [tuple(range(m))]))
 
 
 def _rref_with_ops(matrix):
@@ -353,42 +353,40 @@ class _PairSolver:
 
 
 def _aut_character_perms(group: AbstractGroup, elems):
-    """Automorphisms of the group as permutations of the nonzero characters.
+    """Automorphisms as permutations of the nonzero elements' indices.
 
-    Characters c and c' index the same class when an automorphism carries
-    one multiplicity profile to the other, so orbit representatives are
-    enough before the final canonical dedupe.  The pairing
-    <c, a> = sum c_i a_i / f_i identifies the group with its characters, and
-    the transpose of an automorphism is again one, so the permutations Aut
-    induces on the characters are those it induces on the nonzero elements.
+    They drive the orbit checks of the bijection DFS.  Generator e_i may go
+    to any x of order f_i whose multiples meet the span of the earlier
+    images only in zero; each full choice of images is one automorphism.
     """
     facs = group.invariant_factors
-    r = len(facs)
-    all_elems = list(group.elements())
-    idx = {c: i for i, c in enumerate(elems)}
-    cands = []
-    for i in range(r):
-        ni = facs[i]
-        cands.append(
-            [e for e in all_elems
-             if all((x * ni) % f == 0 for x, f in zip(e, facs))]
-        )
-    perms = set()
-    for images in product(*cands):
-        seen = set()
-        image = {}
-        for a in all_elems:
-            fa = tuple(
-                sum(a[i] * images[i][j] for i in range(r)) % facs[j]
-                for j in range(r)
-            )
-            if fa in seen:
-                break
-            seen.add(fa)
-            image[a] = fa
-        else:
-            perms.add(tuple(idx[image[c]] for c in elems))
-    return sorted(perms)
+    m = len(elems)
+    # addition by index, with 0 for zero and i + 1 for elems[i]
+    plus = [list(range(m + 1))] + [
+        [i + 1] + [x + 1 for x in row]
+        for i, row in enumerate(_addition_table(group, elems))]
+    idx = {c: i + 1 for i, c in enumerate(elems)}
+    perms = []
+
+    def rec(i, image):
+        # image maps the span of e_0..e_{i-1} into the group, by index
+        if i == len(facs):
+            perms.append(tuple(image[a] - 1 for a in range(1, m + 1)))
+            return
+        e = idx[tuple(int(j == i) for j in range(len(facs)))]
+        span = set(image.values())
+        for x in range(1, m + 1):
+            # j x must miss the span for 0 < j < f_i and be zero at j = f_i
+            steps, a, b = [(0, 0)], e, x
+            while a and b not in span:
+                steps.append((a, b))
+                a, b = plus[a][e], plus[b][x]
+            if not a and not b:
+                rec(i + 1, {plus[s][je]: plus[t][jx]
+                            for s, t in image.items() for je, jx in steps})
+
+    rec(0, {0: 0})
+    return perms
 
 
 def _group_from_profile(group: AbstractGroup, elems, counts) -> ResidueGroup:
@@ -409,8 +407,10 @@ def search(v: int, k: int, budget: int | None = DEFAULT_NODE_BUDGET) -> list:
 
     Runs over every abelian group of order v and every subadditive height
     assignment, keeping the assignments whose character-multiplicity system
-    has a nonnegative integer solution.  Results are deduplicated up to
-    coordinate permutation.  Raises BudgetExceeded (carrying the classes
+    has a nonnegative integer solution.  The tree yields one assignment per
+    Aut(A)-orbit and an assignment determines its profiles, so the classes
+    are distinct by construction; two with the same canonical form raise
+    SearchInvariantError.  Raises BudgetExceeded (carrying the classes
     found so far in .partial) when the node budget runs out.
     """
     if not isinstance(v, int) or v < 2:
@@ -434,31 +434,29 @@ def search(v: int, k: int, budget: int | None = DEFAULT_NODE_BUDGET) -> list:
             elems = _nonzero_elements(group)
             solver = _PairSolver(group, elems)
             add = _addition_table(group, elems)
-            getters = None
-            seen_profiles = set()
-            for s in _bijection_dfs(add, len(elems), counter, cap):
+            # the Aut listing: |A| images for each tuple of candidate
+            # generator images, prod_j gcd(f_i, f_j) candidates for e_i
+            facs = group.invariant_factors
+            counter[0] += v * prod(prod(gcd(f, g) for g in facs) for f in facs)
+            if counter[0] > cap:
+                raise _budget_error(counter, cap)
+            perms = _aut_character_perms(group, elems)
+            for s in _bijection_dfs(add, len(elems), counter, cap, perms):
                 for counts in solver.solutions(s, k, counter, cap):
-                    if getters is None:
-                        getters = [itemgetter(*p)
-                                   for p in _aut_character_perms(group, elems)]
-                    # the Aut-min profile costs one node per automorphism
-                    counter[0] += len(getters)
-                    if counter[0] > cap:
-                        raise _budget_error(counter, cap)
-                    key = min([get(counts) for get in getters])
-                    if key in seen_profiles:
-                        continue
-                    seen_profiles.add(key)
                     g = _group_from_profile(group, elems, counts)
                     if g.order != v:
                         raise SearchInvariantError(
-                            f"profile {counts} of {group.invariant_factors} "
+                            f"profile {counts} of {facs} "
                             f"closes to order {g.order}, not {v}")
                     if delta_of(g) != target(v, k, g.ambient - 1):
                         raise SearchInvariantError(
-                            f"profile {counts} of {group.invariant_factors} "
+                            f"profile {counts} of {facs} "
                             f"misses the target delta")
-                    found[canonical_form(g)] = g
+                    key = canonical_form(g)
+                    if key in found:
+                        raise SearchInvariantError(
+                            f"profile {counts} of {facs} repeats a class")
+                    found[key] = g
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), partial=finish(), used=counter[0]) from None
     return finish()

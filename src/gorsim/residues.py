@@ -30,6 +30,9 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
+# largest group from_generators closes; larger input is rejected as bad
+_MAX_ORDER = 100_000
+
 
 def normalize(vec):
     """Canonical representative in [0,1) per coordinate."""
@@ -79,7 +82,9 @@ def from_generators(gens, strict=True):
     """Close a generator list under addition mod 1.
 
     With strict on, every element must have an integer height; groups coming
-    from simplices always do, and classification paths rely on it.
+    from simplices always do, and classification paths rely on it.  Raises
+    ValueError once the closure passes _MAX_ORDER elements, checked after
+    each round of the breadth-first closure.
     """
     gens = [normalize(g) for g in gens]
     if not gens:
@@ -99,6 +104,9 @@ def from_generators(gens, strict=True):
                     elems.add(y)
                     fresh.append(y)
         frontier = fresh
+        if len(elems) > _MAX_ORDER:
+            raise ValueError(
+                f"generators close to more than {_MAX_ORDER} elements")
     if strict:
         for e in elems:
             h = height(e)

@@ -37,9 +37,19 @@ class LatticeSimplex:
         return abs(det(self.homogenized()))
 
 
+def _integers(values):
+    """The values as ints; ValueError for any value that is not integral."""
+    out = []
+    for x in values:
+        out.append(int(x))
+        if out[-1] != x:
+            raise ValueError(f"{x!r} is not an integer")
+    return out
+
+
 def from_vertices(points):
     """Build a simplex from d+1 points in Z^d, validating full dimension."""
-    verts = tuple(tuple(int(x) for x in p) for p in points)
+    verts = tuple(tuple(_integers(p)) for p in points)
     if not verts:
         raise ValueError("no vertices given")
     d = len(verts[0])
@@ -53,7 +63,7 @@ def from_vertices(points):
 
 def family_A(a):
     """Simplex conv{0, e_1, .., e_{d-1}, (a_d - a_1, .., a_d - a_{d-1}, a_d)}."""
-    a = [int(x) for x in a]
+    a = _integers(a)
     d = len(a)
     if d < 1:
         raise ValueError("empty parameter sequence")
@@ -69,8 +79,8 @@ def family_BC(b, c):
     standard basis vectors; row s carries (b_s - b_1, .., b_s - b_{s-1}, b_s)
     in its first s columns and row d carries (c_d - c_1, .., c_d - c_{d-1}, c_d).
     """
-    b = [int(x) for x in b]
-    c = [int(x) for x in c]
+    b = _integers(b)
+    c = _integers(c)
     s, d = len(b), len(c)
     if not 1 <= s < d:
         raise ValueError("need 1 <= len(b) < len(c)")

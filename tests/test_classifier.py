@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 
@@ -21,7 +22,7 @@ from gorsim.errors import (
     InvalidParams,
     SearchInvariantError,
 )
-from gorsim.residues import canonical_form, from_generators
+from gorsim.residues import canonical_form, from_generators, group_to_json
 
 F = Fraction
 
@@ -45,6 +46,30 @@ def brute_bijections(group):
         if ok:
             out.append(tuple(s[a] for a in elems))
     return sorted(out)
+
+
+def profile_dedupe_search(v, k):
+    """The search before orderly generation, kept as a reference.
+
+    Every bijection, every solution, one profile per Aut-min key, and the
+    last group kept per canonical form.
+    """
+    found = {}
+    for group in groups_of_order(v):
+        elems = classifier._nonzero_elements(group)
+        solver = classifier._PairSolver(group, elems)
+        getters = [itemgetter(*p)
+                   for p in classifier._aut_character_perms(group, elems)]
+        seen = set()
+        for s in subadditive_bijections(group, budget=10**9):
+            for counts in solver.solutions(s, k, [0], float("inf")):
+                key = min(get(counts) for get in getters)
+                if key not in seen:
+                    seen.add(key)
+                    g = classifier._group_from_profile(group, elems, counts)
+                    found[canonical_form(g)] = g
+    return [g for _, g in
+            sorted(found.items(), key=lambda kv: (kv[1].ambient, kv[0]))]
 
 
 def canon_set(groups):
@@ -149,14 +174,79 @@ def test_search_budget():
             search(6, 0, budget=bad)
 
 
-def test_search_budget_counts_automorphism_dedupe():
-    # (2,2,2) has 168 automorphisms; the tree and the solver use ~3,000
-    # nodes at v = 8 and the Aut-min profiles ~28,700, so only the dedupe
-    # charge can exhaust this budget
+def test_search_budget_counts_symmetry_work():
+    # at one node per candidate the tree and the solver over every bijection
+    # of every group use ~3,000 nodes at v = 8, and the orderly tree visits
+    # a subset of them; listing Aut of (2,2,2) is charged 8 * 8**3 = 4,096
+    # nodes, so only the Aut listing and the orbit checks can exhaust this
+    # budget
     with pytest.raises(BudgetExceeded) as e:
-        search(8, 0, budget=10_000)
+        search(8, 0, budget=4_000)
     assert isinstance(e.value.partial, list)
-    assert e.value.used > 10_000
+    assert e.value.used > 4_000
+
+
+def test_search_charges_the_aut_listing_before_listing(monkeypatch):
+    # (2,2,2,2,2) has 32**5 tuples of candidate generator images, each
+    # mapping 32 elements, far past the default budget
+    def unreachable(group, elems):
+        raise AssertionError("Aut listed past its budget")
+
+    monkeypatch.setattr(classifier, "groups_of_order",
+                        lambda v: [AbstractGroup((2,) * 5)])
+    monkeypatch.setattr(classifier, "_aut_character_perms", unreachable)
+    with pytest.raises(BudgetExceeded) as e:
+        search(32, 0)
+    assert e.value.partial == []
+    assert e.value.used == 32 ** 6
+
+
+@pytest.mark.parametrize("v", range(2, 16))
+def test_search_matches_profile_dedupe(v):
+    for k in (0, 1):
+        assert ([group_to_json(g) for g in search(v, k)]
+                == [group_to_json(g) for g in profile_dedupe_search(v, k)])
+
+
+@pytest.mark.parametrize("facs", [(2, 2), (6,), (2, 4), (2, 2, 2), (3, 3)])
+def test_orderly_dfs_keeps_the_least_bijection_of_each_orbit(facs):
+    group = AbstractGroup(facs)
+    elems = classifier._nonzero_elements(group)
+    m = len(elems)
+    add = classifier._addition_table(group, elems)
+    perms = classifier._aut_character_perms(group, elems)
+
+    def least(s):
+        # elements listed by slot, least over the orbit
+        by_slot = sorted(range(m), key=s.__getitem__)
+        return min(tuple(p[i] for i in by_slot) for p in perms)
+
+    every = subadditive_bijections(group)
+    orbits = {least(s) for s in every}
+    got = list(classifier._bijection_dfs(add, m, [0], 10**9, perms))
+    assert len(got) == len(orbits)
+    assert {tuple(sorted(range(m), key=s.__getitem__)) for s in got} == orbits
+
+
+def test_search_elementary_groups_of_order_16_and_27():
+    # the four other groups of order 16 give 48 classes and (2,2,2,2) one;
+    # the other groups of order 27 give 10 and (3,3,3) one
+    assert len(search(16, 0)) == 49
+    assert len(search(27, 0)) == 11
+
+
+def test_search_rejects_repeated_class(monkeypatch):
+    # a DFS that yields each bijection twice breaks the orderly argument
+    real = classifier._bijection_dfs
+
+    def twice(*args):
+        for s in real(*args):
+            yield s
+            yield s
+
+    monkeypatch.setattr(classifier, "_bijection_dfs", twice)
+    with pytest.raises(SearchInvariantError, match="repeats a class"):
+        search(4, 0)
 
 
 @pytest.mark.parametrize("facs,order", [

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from gorsim import residues
 from gorsim.cli import main
 from gorsim.residues import canonical_form, group_from_json, group_of_simplex
 from gorsim.simplex import simplex_from_json
@@ -77,6 +78,24 @@ def test_delta_rejects_fractional_height(capsys, tmp_path):
     ("--simplex", {"vertices": 5}),
 ])
 def test_delta_rejects_malformed_json(capsys, tmp_path, flag, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "delta", flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,obj", [
+    ("--generators",
+     {"generators": [["1/100000000", "99999999/100000000"]]}),
+    ("--simplex", {"vertices": [[0, 0], [100000, 0], [0, 100000]]}),
+])
+def test_delta_rejects_groups_past_the_closure_cap(capsys, tmp_path,
+                                                   monkeypatch, flag, obj):
+    # both inputs pass the real cap of 100,000 elements only after seconds
+    # of closure; a cap of 1,000 exercises the same check quickly
+    monkeypatch.setattr(residues, "_MAX_ORDER", 1_000)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "delta", flag, str(path))

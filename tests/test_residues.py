@@ -16,6 +16,7 @@ import pytest
 
 from gorsim.arith import divisors
 from gorsim.catalog import chain_generator
+from gorsim import residues
 from gorsim.errors import NonIntegralHeight
 from gorsim.residues import (
     ResidueGroup,
@@ -121,6 +122,15 @@ def test_from_generators_strict_rejects_fractional_height():
     # the violation may appear only in a generated element
     g = from_generators([vec("1/2", "1/2")])
     assert g.order == 2
+
+
+def test_from_generators_caps_the_closure(monkeypatch):
+    monkeypatch.setattr(residues, "_MAX_ORDER", 12)
+    assert from_generators([vec("1/12", "11/12")]).order == 12
+    with pytest.raises(ValueError, match="more than 12 elements"):
+        from_generators([vec("1/13", "12/13")])
+    with pytest.raises(ValueError, match="more than 12 elements"):
+        from_generators([vec("1/4", "3/4", 0), vec(0, "1/4", "3/4")])
 
 
 def test_trivial():

@@ -70,6 +70,21 @@ def test_from_vertices_validation():
         from_vertices([(0, 0), (1, 0), (2, 0)])
 
 
+def test_non_integral_input_is_rejected():
+    with pytest.raises(ValueError):
+        from_vertices([[0], [2.7]])
+    with pytest.raises(ValueError):
+        family_A([1, 2.5])
+    with pytest.raises(ValueError):
+        family_BC([1, Fraction(3, 2)], [1, 1, 1])
+    with pytest.raises(ValueError):
+        family_BC([1], [1, 0.5])
+    # integral values of any numeric type still pass
+    assert from_vertices([[0], [2.0]]).vertices == ((0,), (2,))
+    assert family_A([1, Fraction(4, 2)]) == family_A([1, 2])
+    assert family_BC([1.0], [1, 1]) == family_BC([1], [1, 1])
+
+
 def test_volume_examples():
     assert SEGMENT2.volume() == 2
     assert UNIT_TRIANGLE.volume() == 1
