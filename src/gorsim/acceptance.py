@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .arith import divisors
 from .catalog import (
-    FamilySpec,
     chain_generator,
     construct_group,
     construct_simplex,
@@ -109,13 +108,9 @@ def _vertex_form_specs():
     out = []
     for k in (0, 1):
         for p in (2, 3, 5):
-            out.append(FamilySpec("prime", {"p": p, "k": k}))
-            for case in ("p2-case1", "p2-case2", "p2-case3"):
-                out.append(FamilySpec(case, {"p": p, "k": k}))
-        for p, q in ((2, 3), (2, 5), (3, 5)):
-            for case in ("pq-case1", "pq-case2", "pq-case3",
-                         "pq-case4", "pq-case5"):
-                out.append(FamilySpec(case, {"p": p, "q": q, "k": k}))
+            out += expected_classes(p, k) + expected_classes(p * p, k)
+        for v in (6, 10, 15):
+            out += expected_classes(v, k)
     return out
 
 

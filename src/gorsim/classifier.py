@@ -38,9 +38,9 @@ __all__ = [
     "verify_bounds",
 ]
 
-# tree nodes, one node per automorphism in each orbit check, the Aut listing
-# and pair-split nodes; sized so v <= 10 at k <= 1 finishes with headroom and
-# a hopeless run still stops quickly
+# tree nodes, one node per automorphism in each orbit check, the Aut listing,
+# pair-split nodes, (v-1)^3 per solver set-up and v * ambient per class; sized
+# so v <= 10 at k <= 1 finishes with headroom and a hopeless run stops quickly
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
@@ -91,8 +91,11 @@ def _nonzero_elements(group: AbstractGroup) -> list:
     return [a for a in group.elements() if any(a)]
 
 
-def _budget_error(counter, cap):
-    return BudgetExceeded(f"search exceeded {cap} nodes", used=counter[0])
+def _charge(counter, cap, nodes):
+    """Count nodes of work about to be done; raise once the total passes cap."""
+    counter[0] += nodes
+    if counter[0] > cap:
+        raise BudgetExceeded(f"search exceeded {cap} nodes", used=counter[0])
 
 
 def _bijection_dfs(add, m, counter, cap, perms):
@@ -129,9 +132,7 @@ def _bijection_dfs(add, m, counter, cap, perms):
         if dead:
             return
         for i in ([forced] if forced >= 0 else cands):
-            counter[0] += len(stab)
-            if counter[0] > cap:
-                raise _budget_error(counter, cap)
+            _charge(counter, cap, len(stab))
             if any(p[i] < i for p in stab):
                 continue
             slot[i] = t
@@ -312,9 +313,7 @@ class _PairSolver:
             per_class.append(slack // 2)
 
         def rec(ci, n):
-            counter[0] += 1
-            if counter[0] > cap:
-                raise _budget_error(counter, cap)
+            _charge(counter, cap, 1)
             if ci == nl:
                 yield tuple(n)
                 return
@@ -327,9 +326,7 @@ class _PairSolver:
                 return
 
             def spread(pos, left):
-                counter[0] += 1
-                if counter[0] > cap:
-                    raise _budget_error(counter, cap)
+                _charge(counter, cap, 1)
                 pi = members[pos]
                 i, j = self.pairs[pi]
                 d = diffs[pi]
@@ -431,18 +428,21 @@ def search(v: int, k: int, budget: int | None = DEFAULT_NODE_BUDGET) -> list:
 
     try:
         for group in groups_of_order(v):
-            elems = _nonzero_elements(group)
-            solver = _PairSolver(group, elems)
-            add = _addition_table(group, elems)
             # the Aut listing: |A| images for each tuple of candidate
             # generator images, prod_j gcd(f_i, f_j) candidates for e_i
             facs = group.invariant_factors
-            counter[0] += v * prod(prod(gcd(f, g) for g in facs) for f in facs)
-            if counter[0] > cap:
-                raise _budget_error(counter, cap)
+            _charge(counter, cap,
+                    v * prod(prod(gcd(f, g) for g in facs) for f in facs))
+            elems = _nonzero_elements(group)
+            # the solver's elimination on its m x m system
+            _charge(counter, cap, len(elems) ** 3)
+            solver = _PairSolver(group, elems)
+            add = _addition_table(group, elems)
             perms = _aut_character_perms(group, elems)
             for s in _bijection_dfs(add, len(elems), counter, cap, perms):
                 for counts in solver.solutions(s, k, counter, cap):
+                    # closure, delta and canonical form of v rows
+                    _charge(counter, cap, v * sum(counts))
                     g = _group_from_profile(group, elems, counts)
                     if g.order != v:
                         raise SearchInvariantError(

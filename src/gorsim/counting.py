@@ -15,8 +15,9 @@ exists: 1 for primes, 3 for p**2, 5 for pq.
 from functools import cache
 from math import comb
 
-from .arith import divisors, factorize
-from .errors import InvalidParams
+from .arith import divisors
+from .catalog import expected_classes
+from .errors import InvalidParams, UnsupportedVolume
 
 __all__ = ["count_M", "known_N", "ordered_bell"]
 
@@ -44,19 +45,15 @@ def ordered_bell(t: int) -> int:
 def known_N(v: int, k: int) -> int | None:
     """Exact class count for the solved volumes, None elsewhere.
 
-    The count is independent of k for every solved case; the argument is
-    kept so callers can ask about a specific target polynomial.
+    The count is the length of the catalog's expected class list.  It is
+    independent of k for every solved case; the argument is kept so callers
+    can ask about a specific target polynomial.
     """
     if not isinstance(v, int) or v < 1:
         raise InvalidParams(f"v must be a positive integer, got {v!r}")
     if not isinstance(k, int) or k < 0:
         raise InvalidParams(f"k must be a nonnegative integer, got {k!r}")
-    fac = factorize(v)
-    exps = sorted(fac.values())
-    if exps == [1]:
-        return 1
-    if exps == [2]:
-        return 3
-    if exps == [1, 1]:
-        return 5
-    return None
+    try:
+        return len(expected_classes(v, k))
+    except UnsupportedVolume:
+        return None

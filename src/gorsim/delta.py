@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import BudgetExceeded, DimensionTooSmall, NotGorenstein
-from .residues import ResidueGroup, group_of_simplex, height
+from .residues import ResidueGroup, group_of_simplex
 from .simplex import LatticeSimplex, count_points
 
 # ehrhart_check point budget; enough for every volume<=8, dim<=6 simplex
@@ -39,9 +39,8 @@ class DeltaPolynomial:
 def delta_of(group: ResidueGroup) -> DeltaPolynomial:
     """Height distribution of the group, as a polynomial of length ambient."""
     coeffs = [0] * group.ambient
-    for x in group.elements:
-        h = height(x)
-        coeffs[int(h)] += 1
+    for h in group.heights():
+        coeffs[h] += 1
     return DeltaPolynomial(tuple(coeffs))
 
 

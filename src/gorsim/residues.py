@@ -3,7 +3,9 @@
 A lattice simplex with vertices v_0..v_d determines the group of vectors
 (λ_0..λ_d) over Q/Z with Σ λ_i (v_i, 1) integral; its order is the
 normalized volume, and the coordinate-sum statistics of its elements encode
-the delta polynomial. Vectors are tuples of Fractions in [0, 1).
+the delta polynomial.  A group of exponent N is stored as integer rows in
+[0, N), row r standing for r/N; Fractions in [0, 1) appear only at the
+boundary, as generators and as the `elements` view.
 """
 
 from collections import Counter
@@ -17,7 +19,6 @@ __all__ = [
     "ResidueGroup",
     "normalize",
     "height",
-    "order_of",
     "from_generators",
     "trivial",
     "group_of_simplex",
@@ -44,35 +45,42 @@ def height(vec):
     return sum(vec, start=_ZERO)
 
 
-def order_of(vec):
-    """Least positive multiple sending the vector to zero mod 1."""
-    out = 1
-    for x in vec:
-        out = lcm(out, Fraction(x).denominator)
-    return out
-
-
 class ResidueGroup:
-    """Finite subgroup of (Q/Z)^ambient with a sorted element table."""
+    """Finite subgroup of (Q/Z)^ambient: the normalized Fraction generators,
+    the exponent N (the lcm of their denominators) and the elements times N,
+    sorted, as integer rows."""
 
-    __slots__ = ("ambient", "generators", "elements")
+    __slots__ = ("ambient", "generators", "exponent", "rows")
 
-    def __init__(self, ambient, generators, elements):
+    def __init__(self, ambient, generators, exponent, rows):
         self.ambient = ambient
         self.generators = generators
-        self.elements = elements
+        self.exponent = exponent
+        self.rows = rows
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.rows)
+
+    @property
+    def elements(self):
+        """The rows as tuples of Fractions in [0, 1), in the same order."""
+        n = self.exponent
+        return tuple(tuple(Fraction(a, n) for a in r) for r in self.rows)
+
+    def heights(self):
+        """Height of each row, rounded down where it is not integral."""
+        n = self.exponent
+        return [sum(r) // n for r in self.rows]
 
     def __eq__(self, other):
         return (isinstance(other, ResidueGroup)
                 and self.ambient == other.ambient
-                and self.elements == other.elements)
+                and self.exponent == other.exponent
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.elements))
+        return hash((self.ambient, self.exponent, self.rows))
 
     def __repr__(self):
         return f"ResidueGroup(ambient={self.ambient}, order={self.order})"
@@ -92,14 +100,17 @@ def from_generators(gens, strict=True):
     n = len(gens[0])
     if n < 1 or any(len(g) != n for g in gens):
         raise ValueError("generators must share a common positive length")
-    zero = (_ZERO,) * n
+    den = lcm(*(x.denominator for g in gens for x in g))
+    steps = [tuple(x.numerator * (den // x.denominator) for x in g)
+             for g in gens]
+    zero = (0,) * n
     elems = {zero}
     frontier = [zero]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % 1 for a, b in zip(x, g))
+            for g in steps:
+                y = tuple((a + b) % den for a, b in zip(x, g))
                 if y not in elems:
                     elems.add(y)
                     fresh.append(y)
@@ -107,19 +118,20 @@ def from_generators(gens, strict=True):
         if len(elems) > _MAX_ORDER:
             raise ValueError(
                 f"generators close to more than {_MAX_ORDER} elements")
+    rows = tuple(sorted(elems))
     if strict:
-        for e in elems:
-            h = height(e)
-            if h.denominator != 1:
-                raise NonIntegralHeight(f"element {e} has height {h}")
-    return ResidueGroup(n, tuple(gens), tuple(sorted(elems)))
+        for r in rows:
+            if sum(r) % den:
+                e = tuple(Fraction(a, den) for a in r)
+                raise NonIntegralHeight(f"element {e} has height {height(e)}")
+    return ResidueGroup(n, tuple(gens), den, rows)
 
 
 def trivial(ambient):
     """The zero subgroup of (Q/Z)^ambient."""
     if ambient < 1:
         raise ValueError("ambient must be positive")
-    return ResidueGroup(ambient, (), ((_ZERO,) * ambient,))
+    return ResidueGroup(ambient, (), 1, ((0,) * ambient,))
 
 
 def group_of_simplex(s):
@@ -144,19 +156,18 @@ def group_of_simplex(s):
 
 def direct_sum(a, b):
     """All concatenations of elements; ambient adds and order multiplies."""
-    elems = tuple(sorted(x + y for x in a.elements for y in b.elements))
-    pad_a = (_ZERO,) * a.ambient
-    pad_b = (_ZERO,) * b.ambient
-    gens = tuple(g + pad_b for g in a.generators)
-    gens += tuple(pad_a + g for g in b.generators)
-    return ResidueGroup(a.ambient + b.ambient, gens, elems)
+    gens = [g + (_ZERO,) * b.ambient for g in a.generators]
+    gens += [(_ZERO,) * a.ambient + g for g in b.generators]
+    if not gens:
+        return trivial(a.ambient + b.ambient)
+    return from_generators(gens, strict=False)
 
 
 def pyramid_coordinates(g):
     """Coordinates that vanish on the whole group; nonempty iff the simplex
     is a lattice pyramid."""
     return tuple(i for i in range(g.ambient)
-                 if all(e[i] == 0 for e in g.elements))
+                 if all(r[i] == 0 for r in g.rows))
 
 
 def canonical_form(g):
@@ -167,19 +178,13 @@ def canonical_form(g):
     prefix tables. Each position tries every distinct remaining column, and
     all partial assignments achieving the minimum are kept, so the result is
     the true minimum over all coordinate orders: the full sorted element
-    table under the best order, a complete invariant.
-
-    The search runs on the elements scaled by N, the lcm of their
-    denominators.  Scaling keeps the order, so the minimum and its text are
-    those of the Fraction table, at integer comparison cost.
+    table under the best order, a complete invariant.  Entries print as the
+    Fractions the rows stand for.
     """
-    elems = g.elements
+    elems = g.rows
     m, n = len(elems), g.ambient
-    scale = lcm(*{x.denominator for e in elems for x in e})
-    scaled = [tuple(x.numerator * (scale // x.denominator) for x in e)
-              for e in elems]
-    text = {a: str(Fraction(a, scale)) for a in set().union(*scaled)}
-    base = Counter(tuple(e[i] for e in scaled) for i in range(n))
+    text = {a: str(Fraction(a, g.exponent)) for a in set().union(*elems)}
+    base = Counter(tuple(e[i] for e in elems) for i in range(n))
     states = [(((),) * m, base)]
     table = None
     for _ in range(n):

@@ -175,11 +175,10 @@ def test_search_budget():
 
 
 def test_search_budget_counts_symmetry_work():
-    # at one node per candidate the tree and the solver over every bijection
-    # of every group use ~3,000 nodes at v = 8, and the orderly tree visits
-    # a subset of them; listing Aut of (2,2,2) is charged 8 * 8**3 = 4,096
-    # nodes, so only the Aut listing and the orbit checks can exhaust this
-    # budget
+    # at v = 8 everything but the Aut listings (the orderly tree with its
+    # orbit checks, the solvers' set-up at 7**3 nodes each and 8 * ambient
+    # per class) uses 3,781 nodes; listing Aut of (2,2,2) is charged
+    # 8 * 8**3 = 4,096 nodes, so only the Aut listing can exhaust this budget
     with pytest.raises(BudgetExceeded) as e:
         search(8, 0, budget=4_000)
     assert isinstance(e.value.partial, list)
@@ -199,6 +198,22 @@ def test_search_charges_the_aut_listing_before_listing(monkeypatch):
         search(32, 0)
     assert e.value.partial == []
     assert e.value.used == 32 ** 6
+
+
+def test_search_charges_the_solver_set_up_before_building_it(monkeypatch):
+    # the solver's elimination is cubic in v - 1; at v = 150 it takes
+    # seconds, so a small budget must stop the search before it starts
+    def unreachable(group, elems):
+        raise AssertionError("solver built past its budget")
+
+    monkeypatch.setattr(classifier, "_PairSolver", unreachable)
+    with pytest.raises(BudgetExceeded) as e:
+        search(150, 0, budget=1_000)
+    assert e.value.partial == []
+    # Z/150 lists Aut for 150 * 150 nodes, then charges 149**3
+    with pytest.raises(BudgetExceeded) as e:
+        search(150, 0, budget=100_000)
+    assert e.value.used == 150 * 150 + 149 ** 3
 
 
 @pytest.mark.parametrize("v", range(2, 16))

@@ -104,6 +104,17 @@ def test_delta_rejects_groups_past_the_closure_cap(capsys, tmp_path,
     assert err.count("\n") == 1
 
 
+def test_construct_rejects_a_join_past_the_closure_cap(capsys, monkeypatch):
+    # both factors close under the cap; their join of order 6 does not
+    monkeypatch.setattr(residues, "_MAX_ORDER", 5)
+    family = json.dumps({"family": "join", "params": {
+        "first": {"family": "prime", "params": {"p": 2, "k": 0}},
+        "second": {"family": "prime", "params": {"p": 3, "k": 1}}}})
+    code, out, err = run(capsys, "construct", "--family", family)
+    assert (code, out) == (2, "")
+    assert err == "error: generators close to more than 5 elements\n"
+
+
 def test_delta_needs_exactly_one_source(capsys, tmp_path):
     assert run(capsys, "delta")[0] == 2
     path = tmp_path / "x.json"

@@ -3,8 +3,8 @@
 The canonical-form oracle minimizes the row-sorted element table over every
 coordinate permutation outright; it is exponential but fine at ambient <= 6.
 A second reference, `fraction_canonical_form`, runs the prefix-table search
-directly on the Fraction elements; the library's integer-scaled search must
-return the same string.
+directly on the Fraction elements; the library's search over the integer
+rows must return the same string.
 """
 
 import itertools
@@ -28,7 +28,6 @@ from gorsim.residues import (
     group_to_json,
     height,
     normalize,
-    order_of,
     pyramid_coordinates,
     trivial,
 )
@@ -102,13 +101,6 @@ def test_normalize_and_height():
     assert height(vec("1/2", "1/4")) == F(3, 4)
 
 
-def test_order_of():
-    assert order_of(vec(0, 0)) == 1
-    assert order_of(vec("1/2", "1/2")) == 2
-    assert order_of(vec("1/2", "1/3")) == 6
-    assert order_of(vec("2/4", 0)) == 2
-
-
 def test_from_generators_closure():
     g = from_generators([vec("1/2", 0, "1/2"), vec(0, "1/2", "1/2")], strict=False)
     assert g.order == 4
@@ -116,9 +108,37 @@ def test_from_generators_closure():
     assert g.elements[0] == vec(0, 0, 0)
 
 
+def test_rows_are_the_elements_over_the_exponent():
+    g = from_generators([vec("1/4", "3/4", "1/2")], strict=False)
+    assert g.exponent == 4
+    assert g.rows == ((0, 0, 0), (1, 3, 2), (2, 2, 0), (3, 1, 2))
+    assert g.elements == tuple(tuple(F(a, 4) for a in r) for r in g.rows)
+    assert g.heights() == [0, 1, 1, 1]
+
+
+def test_exponent_is_taken_from_reduced_generators():
+    g = from_generators([vec("2/4", "2/4")])
+    assert g == from_generators([vec("1/2", "1/2")])
+    assert g.exponent == 2
+    assert g.generators == (vec("1/2", "1/2"),)
+    assert trivial(2).exponent == 1
+
+
+def test_heights_match_the_fraction_heights():
+    for v in range(2, 13):
+        for k in (0, 1):
+            for ch in chains_to(v):
+                g = from_generators([chain_generator(ch, k)])
+                assert g.heights() == [int(height(e)) for e in g.elements]
+
+
 def test_from_generators_strict_rejects_fractional_height():
     with pytest.raises(NonIntegralHeight):
         from_generators([vec("1/2", 0)])
+    # the message names the least offending element
+    with pytest.raises(NonIntegralHeight, match=r"^element \(Fraction\(0, 1\), "
+                       r"Fraction\(1, 3\)\) has height 1/3$"):
+        from_generators([vec("1/2", "1/3")])
     # the violation may appear only in a generated element
     g = from_generators([vec("1/2", "1/2")])
     assert g.order == 2
@@ -179,6 +199,14 @@ def test_direct_sum():
     assert g.ambient == 6 and g.order == 4
     assert vec("1/2", "1/2", 0, 0, 0, 0) in set(g.elements)
     assert vec("1/2", "1/2", "1/2", "1/2", "1/2", "1/2") in set(g.elements)
+    # coprime exponents 2 and 3 give exponent 6
+    g3 = from_generators([vec("1/3", "1/3", "1/3")])
+    g = direct_sum(g1, g3)
+    assert (g1.exponent, g3.exponent, g.exponent) == (2, 3, 6)
+    assert g == from_generators([vec("1/2", "1/2", 0, 0, 0),
+                                 vec(0, 0, "1/3", "1/3", "1/3")])
+    assert g.order == 6
+    assert direct_sum(trivial(1), trivial(2)) == trivial(3)
 
 
 def test_pyramid_coordinates():
